@@ -235,9 +235,9 @@ fn lake_4x_budget_serves_bit_identical_under_ceiling() {
     let dir = tmpdir("ceiling");
     build_cold_stack(&dir, &corpus, 2);
     let total = cold_bytes(&dir);
-    // Largest power of two with lake >= 4x budget (pages are whole-file
-    // sized here — segments are smaller than one 64 KiB page — so a
-    // power-of-two budget exercises partial occupancy, not an exact fit).
+    // Largest power of two with lake >= 4x budget (a power-of-two budget
+    // is no whole number of segments, so it exercises partial occupancy,
+    // not an exact fit).
     let budget = ((total / 4) as usize).next_power_of_two() / 2;
     assert!(budget > 0, "lake too small: {total} bytes");
     assert!(total >= 4 * budget as u64);

@@ -17,11 +17,19 @@
 //!
 //! * `find_list` binary-searches the front-coded value dictionary through
 //!   its restart index, fetching one restart *group* (at most
-//!   `restart_interval` front-coded records) per comparison;
+//!   `restart_interval` front-coded records) per comparison, then reads
+//!   only the list's leading count varint;
 //! * `table_runs` decodes only the table-id streams of a list (column/row
 //!   payloads are jumped over via their width bytes);
 //! * `collect_run` decodes only the blocks overlapping the requested range,
-//!   counting everything else as skipped.
+//!   counting everything else as skipped, and within a block only the
+//!   requested entries (random access into the bit-packed streams).
+//!
+//! Whole-stream reads — [`SegmentSource::to_bytes`], behind compaction
+//! inputs, [`ColdPostingStore::iter_decoded`] and [`ColdIndex::thaw`] —
+//! bypass the page cache with one extent `pread`: the cache's small pages
+//! are sized for probes, and a materialization served through them would
+//! cost thousands of fills and evict the query working set.
 //!
 //! The always-materialized state of a [`ColdIndex`] is the super-key store
 //! (raw `u64` words, needed for random access during row filtering) and the
@@ -261,28 +269,6 @@ impl SegmentSource {
         }
     }
 
-    /// Reads `[lo, hi)` of the stream. Resident: a zero-copy subslice.
-    /// Paged: filled into `buf` (cleared first) via the cache.
-    fn try_read<'a>(
-        &'a self,
-        lo: usize,
-        hi: usize,
-        buf: &'a mut Vec<u8>,
-    ) -> Result<&'a [u8], StorageError> {
-        match self {
-            SegmentSource::Resident(b) => Ok(&b[lo..hi]),
-            SegmentSource::Paged {
-                cache,
-                segment,
-                offset,
-                ..
-            } => {
-                cache.read_into(*segment, *offset + lo as u64, hi - lo, buf)?;
-                Ok(&buf[..])
-            }
-        }
-    }
-
     /// Infallible probe-path read: open-time validation guarantees the
     /// range is well-formed, so the only failure left is I/O on a page
     /// fill. One retry absorbs transient faults (the cache caches nothing
@@ -312,14 +298,17 @@ impl SegmentSource {
     }
 
     /// Materializes the whole stream (tooling: `thaw`, compaction inputs).
+    /// A paged stream is read with one extent `pread` that bypasses the
+    /// page cache: no fills, no hits, no evictions of the query working set.
     pub fn to_bytes(&self) -> Result<Bytes, StorageError> {
         match self {
             SegmentSource::Resident(b) => Ok(b.clone()),
-            SegmentSource::Paged { .. } => {
-                let mut out = Vec::new();
-                self.try_read(0, self.len(), &mut out)?;
-                Ok(Bytes::from(out))
-            }
+            SegmentSource::Paged {
+                cache,
+                segment,
+                offset,
+                len,
+            } => Ok(Bytes::from(cache.read_uncached(*segment, *offset, *len)?)),
         }
     }
 }
@@ -706,8 +695,13 @@ impl PostingSource for ColdPostingStore {
     fn find_list(&self, value: &str, scratch: &mut ProbeScratch) -> Option<ListHandle> {
         let ProbeScratch { buf, ext, .. } = scratch;
         let id = self.find_ordinal(value, ext, buf)?;
+        // Only the leading count varint is needed, not the whole list.
+        let (lo, hi) = self.dir.bounds(id as usize);
+        let prefix = self
+            .lists
+            .read(lo, hi.min(lo + varint::MAX_VARINT_LEN), ext);
         // panic-exempt: every list header decoded once by the open walk.
-        let len = postings::list_count(self.list_bytes(id, ext)).expect("validated at open");
+        let len = postings::list_count(prefix).expect("validated at open");
         Some(ListHandle {
             id,
             len: len as u32,
@@ -860,5 +854,69 @@ impl ColdIndex {
             superkey_bytes_per_cell: self.num_postings() * key_bytes,
             hash_bits: self.hash_size().bits(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::builder::IndexBuilder;
+    use crate::persist;
+    use mate_hash::Xash;
+    use mate_obs::Obs;
+    use mate_storage::segment::SegmentReader;
+    use mate_storage::vfs::FaultVfs;
+    use mate_table::{Corpus, TableBuilder};
+
+    #[test]
+    fn paged_materialization_bypasses_the_cache_and_keeps_faults_typed() {
+        let mut corpus = Corpus::new();
+        for t in 0..40 {
+            let mut b = TableBuilder::new(format!("t{t}"), ["a", "b"]);
+            for r in 0..60 {
+                b = b.row([format!("v{}", (t * 7 + r) % 150), format!("w{r}")]);
+            }
+            corpus.add_table(b.build());
+        }
+        let index = IndexBuilder::new(Xash::new(HashSize::B128)).build(&corpus);
+        let data = persist::index_to_bytes(&index);
+        let dir = std::env::temp_dir().join(format!("mate-cold-bypass-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("seg.bin");
+        std::fs::write(&path, &data).unwrap();
+
+        let seg = SegmentReader::open(data).unwrap();
+        let resident = persist::read_cold_store(&seg).unwrap();
+        let vfs = Arc::new(FaultVfs::new());
+        let cache = Arc::new(PageCache::new(
+            Arc::new(Arc::clone(&vfs)),
+            64,
+            1 << 20,
+            &Arc::new(Obs::new()),
+        ));
+        cache.register_segment(3, &path);
+        let paged = persist::read_cold_store_paged(&seg, &cache, 3).unwrap();
+        assert!(paged.is_paged());
+
+        let before = cache.stats();
+        let copy = paged.materialized().unwrap();
+        assert_eq!(cache.stats(), before, "no page hit, fill or eviction");
+        assert_eq!(
+            copy.values.to_bytes().unwrap(),
+            resident.values.to_bytes().unwrap()
+        );
+        assert_eq!(
+            copy.lists.to_bytes().unwrap(),
+            resident.lists.to_bytes().unwrap()
+        );
+        assert!(copy.iter_decoded().eq(resident.iter_decoded()));
+
+        vfs.fail_nth(1);
+        let e = paged.materialized().unwrap_err();
+        assert!(matches!(e, StorageError::IoAt { .. }), "{e}");
+        assert_eq!(vfs.injected(), 1);
+        assert_eq!(cache.stats(), before);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -239,6 +239,11 @@ const QUARANTINE_DIR: &str = "quarantine";
 /// this long, even if no compaction ran (bounds recovery replay work).
 const MAX_DELTA_CHAIN: u64 = 64;
 
+/// Read grain of scrub's verification walk and quarantine copy. Scrub
+/// streams whole files sequentially, so it keeps a coarse 64 KiB chunk of
+/// its own instead of following the pager's small probe-sized pages.
+const SCRUB_CHUNK_BYTES: usize = 64 * 1024;
+
 fn seg_file(id: u64) -> String {
     format!("seg-{id:08}.seg")
 }
@@ -934,8 +939,8 @@ impl Engine {
             Arc::clone(&vfs),
             DEFAULT_PAGE_SIZE,
             config.cold_cache_budget_bytes,
+            &config.obs,
         ));
-        pager.attach_obs(&config.obs);
         let engine = Engine {
             dir,
             vfs,
@@ -1010,8 +1015,8 @@ impl Engine {
             Arc::clone(&vfs),
             DEFAULT_PAGE_SIZE,
             config.cold_cache_budget_bytes,
+            &config.obs,
         ));
-        pager.attach_obs(&config.obs);
         let mut superkeys = SuperKeyStore::new(hash_size);
         let mut cold = Vec::with_capacity(m.segments.len());
         for (i, sm) in m.segments.iter().enumerate() {
@@ -2197,9 +2202,10 @@ impl Engine {
     }
 
     /// Full validation of one cold segment's on-disk file, streamed in
-    /// page-size preads so scrub's resident overhead stays bounded: every
-    /// block CRC is re-verified (which is exactly what detects rot — the
-    /// file is immutable and its structure was stream-validated at open),
+    /// [`SCRUB_CHUNK_BYTES`] preads so scrub's resident overhead stays
+    /// bounded: every block CRC is re-verified (which is exactly what
+    /// detects rot — the file is immutable and its structure was
+    /// stream-validated at open),
     /// every block the engine consumes must be present, and the decoded
     /// claims and hash size are cross-checked against the in-memory layer.
     fn verify_segment(&self, li: usize) -> Result<(), StorageError> {
@@ -2208,7 +2214,7 @@ impl Engine {
         let blocks = mate_storage::segment::verify_segment_file(
             self.vfs.as_ref(),
             &path,
-            self.pager.page_size(),
+            SCRUB_CHUNK_BYTES,
             &["index.meta", "engine.claims"],
         )?;
         let block = |name: &str| -> Result<Bytes, StorageError> {
@@ -2323,14 +2329,14 @@ impl Engine {
         // Preserve the corrupt bytes for post-mortem *before* anything
         // else touches disk: a crash anywhere later leaves either the old
         // manifest (still referencing the corrupt file — no worse than
-        // before) or the healed state. The copy streams page-size chunks
+        // before) or the healed state. The copy streams `SCRUB_CHUNK_BYTES` chunks
         // (never the whole file) and is best-effort by design: a partial
         // quarantine copy of an already-corrupt file loses nothing.
         let qdir = self.dir.join(QUARANTINE_DIR);
         let _ = self.vfs.create_dir_all(&qdir);
         let qpath = qdir.join(seg_file(old_id));
         if let Ok(mut f) = self.vfs.create(&qpath) {
-            let chunk = self.pager.page_size();
+            let chunk = SCRUB_CHUNK_BYTES;
             let mut off = 0u64;
             while let Ok(part) = self.vfs.pread(&old_path, off, chunk) {
                 if part.is_empty() || f.write_all(&part).is_err() {

@@ -29,14 +29,21 @@
 //!   reads, so `FaultVfs` read faults and bit flips fire on pread fills
 //!   exactly as they do on `Vfs::read`. A failed fill caches nothing and
 //!   surfaces as a typed [`StorageError`]; the next call retries the read.
+//! * **One counter store.** [`PageCache::new`] resolves its registry
+//!   handles (`pager.{hits, misses, evictions}`, the `pager.resident_bytes`
+//!   gauge, the `pager.fills_us` histogram) once; [`PageCache::stats`]
+//!   reads them back. A hit costs one map probe plus one relaxed add, and
+//!   the gauge is written only where residency changes.
+//! * **Whole extents bypass the cache.** [`PageCache::read_uncached`]
+//!   serves a materialization of a whole stream with one `pread`, so it
+//!   neither costs thousands of page fills nor evicts the query working set.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use bytes::Bytes;
-use mate_obs::{Obs, Rank, RankedMutex};
+use mate_obs::{Counter, Gauge, Histogram, Obs, Rank, RankedMutex};
 
 use crate::error::{IoCtx, StorageError};
 use crate::vfs::Vfs;
@@ -48,10 +55,17 @@ use crate::vfs::Vfs;
 /// `mate_index::engine::ranks` table.
 pub const PAGER_CACHE_RANK: Rank = Rank::new(55, 0, "pager-cache");
 
-/// Default page size: 64 KiB. Large enough that a block-compressed posting
-/// run or one front-coded restart group rarely straddles more than two
-/// pages, small enough that tiny budgets still hold a useful working set.
-pub const DEFAULT_PAGE_SIZE: usize = 64 * 1024;
+/// Default page size: 4 KiB, the OS page. The page is the unit a miss
+/// reads and the unit the budget holds, so it should match what a probe
+/// touches: on the generated opendata lake the posting lists a query
+/// decodes average about 340 bytes, so a 64 KiB page read ~37× more than
+/// the probe used, and the same budget held 16× fewer distinct hot lists.
+/// Swept at equal budget (a page cache of 1/8 of the cold stack), query
+/// latency ranked 4 KiB ≈ 16 KiB ≫ 64 KiB, and bytes read per query
+/// were 0.14 / 1.0 / 20.6 MB. Whole-stream reads (compaction inputs,
+/// `thaw`) bypass the cache with one extent `pread`, and scrub streams
+/// files in its own larger chunks, so neither pays for the small grain.
+pub const DEFAULT_PAGE_SIZE: usize = 4 * 1024;
 
 /// A point-in-time view of the cache counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -91,10 +105,16 @@ struct PagerInner {
     resident_bytes: usize,
 }
 
-/// Registry handles mirrored on every cache operation once attached.
+/// Registry handles resolved once at construction: the cache's only
+/// counter store, so recording a hit is one relaxed add.
 #[derive(Debug)]
-struct PagerObs {
+struct PagerMetrics {
     obs: Arc<Obs>,
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+    evictions: Arc<Counter>,
+    resident_bytes: Arc<Gauge>,
+    fills_us: Arc<Histogram>,
 }
 
 /// A shared, budgeted page cache over immutable segment files (see the
@@ -105,38 +125,37 @@ pub struct PageCache {
     page_size: usize,
     budget_bytes: usize,
     inner: RankedMutex<PagerInner>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    obs: OnceLock<PagerObs>,
+    metrics: PagerMetrics,
 }
 
 impl PageCache {
     /// A cache filling `page_size`-byte pages from `vfs`, keeping at most
     /// `budget_bytes` of payload resident. A zero `page_size` is clamped
-    /// to one byte.
-    pub fn new(vfs: Arc<dyn Vfs>, page_size: usize, budget_bytes: usize) -> PageCache {
+    /// to one byte. Traffic is recorded in `obs`: the `pager.{hits,
+    /// misses, evictions}` counters, the `pager.resident_bytes` gauge and
+    /// the `pager.fills_us` histogram of each fill's `pread` latency.
+    pub fn new(
+        vfs: Arc<dyn Vfs>,
+        page_size: usize,
+        budget_bytes: usize,
+        obs: &Arc<Obs>,
+    ) -> PageCache {
+        let metrics = PagerMetrics {
+            obs: Arc::clone(obs),
+            hits: obs.counter("pager.hits"),
+            misses: obs.counter("pager.misses"),
+            evictions: obs.counter("pager.evictions"),
+            resident_bytes: obs.gauge("pager.resident_bytes"),
+            fills_us: obs.histogram("pager.fills_us"),
+        };
+        metrics.resident_bytes.set(0);
         PageCache {
             vfs,
             page_size: page_size.max(1),
             budget_bytes,
             inner: RankedMutex::new(PAGER_CACHE_RANK, PagerInner::default()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            obs: OnceLock::new(),
+            metrics,
         }
-    }
-
-    /// Connects the cache to an observability hub: `pager.{hits, misses,
-    /// evictions, resident_bytes}` are mirrored on every operation and
-    /// `pager.fills_us` records each fill's `pread` latency. Only the
-    /// first attachment takes effect.
-    pub fn attach_obs(&self, obs: &Arc<Obs>) {
-        let _ = self.obs.set(PagerObs {
-            obs: Arc::clone(obs),
-        });
-        self.mirror_obs();
     }
 
     /// The configured page size in bytes.
@@ -156,11 +175,9 @@ impl PageCache {
     pub fn register_segment(&self, id: u64, path: &Path) {
         let mut inner = self.inner.lock();
         if inner.segments.contains_key(&id) {
-            Self::evict_segment_locked(&mut inner, id, &self.evictions);
+            self.evict_segment_locked(&mut inner, id);
         }
         inner.segments.insert(id, Arc::new(path.to_path_buf()));
-        drop(inner);
-        self.mirror_obs();
     }
 
     /// Drops `id`'s registration and evicts all of its resident pages.
@@ -168,9 +185,7 @@ impl PageCache {
     pub fn remove_segment(&self, id: u64) {
         let mut inner = self.inner.lock();
         inner.segments.remove(&id);
-        Self::evict_segment_locked(&mut inner, id, &self.evictions);
-        drop(inner);
-        self.mirror_obs();
+        self.evict_segment_locked(&mut inner, id);
     }
 
     /// Reads `len` bytes at `offset` of segment `id` into `out` (cleared
@@ -215,56 +230,76 @@ impl PageCache {
         Ok(())
     }
 
-    /// Current counters (resident bytes under the lock, the rest relaxed).
+    /// Reads `len` bytes at `offset` of segment `id` with one `pread` that
+    /// bypasses the cache: no page is filled, hit, or evicted, so a whole-
+    /// stream materialization neither pays per-page fills nor flushes the
+    /// query working set. Errors are typed as for [`PageCache::read_into`].
+    pub fn read_uncached(&self, id: u64, offset: u64, len: usize) -> Result<Vec<u8>, StorageError> {
+        let path = self.segment_path(id)?;
+        let buf = self
+            .vfs
+            .pread(&path, offset, len)
+            .io_ctx("pread-reading extent of", &path)?;
+        if buf.len() < len {
+            return Err(StorageError::UnexpectedEof {
+                context: "paged segment read past end of file",
+            });
+        }
+        Ok(buf)
+    }
+
+    /// Current counters, read from the registry handles (resident bytes
+    /// under the lock).
     pub fn stats(&self) -> PagerStats {
         let resident = self.inner.lock().resident_bytes as u64;
         PagerStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
+            hits: self.metrics.hits.get(),
+            misses: self.metrics.misses.get(),
+            evictions: self.metrics.evictions.get(),
             resident_bytes: resident,
         }
+    }
+
+    /// The file `id` was registered under.
+    fn segment_path(&self, id: u64) -> Result<Arc<PathBuf>, StorageError> {
+        self.inner
+            .lock()
+            .segments
+            .get(&id)
+            .map(Arc::clone)
+            .ok_or(StorageError::InvalidLength {
+                context: "pager fill for unregistered segment id",
+                value: id,
+            })
     }
 
     /// Returns page `page_no` of segment `id`, filling it on a miss.
     fn page(&self, id: u64, page_no: u64) -> Result<Bytes, StorageError> {
         let key = (id, page_no);
-        let path = {
+        {
             let mut inner = self.inner.lock();
             if let Some(&idx) = inner.map.get(&key) {
                 if let Some(slot) = inner.slots[idx].as_mut() {
                     slot.referenced = true;
                     let data = slot.data.clone();
                     drop(inner);
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    self.mirror_obs();
+                    self.metrics.hits.inc();
                     return Ok(data);
                 }
             }
-            match inner.segments.get(&id) {
-                Some(p) => Arc::clone(p),
-                None => {
-                    return Err(StorageError::InvalidLength {
-                        context: "pager fill for unregistered segment id",
-                        value: id,
-                    })
-                }
-            }
-        };
+        }
+        let path = self.segment_path(id)?;
         // Fill outside the lock: concurrent probes of other pages proceed.
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let start = self
-            .obs
-            .get()
-            .map(|o| (Arc::clone(&o.obs), o.obs.clock().now_nanos()));
+        self.metrics.misses.inc();
+        let clock = self.metrics.obs.clock();
+        let t0 = clock.now_nanos();
         let buf = self
             .vfs
             .pread(&path, page_no * self.page_size as u64, self.page_size)
             .io_ctx("pread-filling page from", &path)?;
-        if let Some((obs, t0)) = start {
-            obs.histogram("pager.fills_us")
-                .record((obs.clock().now_nanos() - t0) / 1_000);
-        }
+        self.metrics
+            .fills_us
+            .record(clock.now_nanos().saturating_sub(t0) / 1_000);
         let data = Bytes::from(buf);
         let mut inner = self.inner.lock();
         // A racing fill may have inserted the page while we read; keep the
@@ -272,10 +307,7 @@ impl PageCache {
         if let Some(&idx) = inner.map.get(&key) {
             if let Some(slot) = inner.slots[idx].as_mut() {
                 slot.referenced = true;
-                let cached = slot.data.clone();
-                drop(inner);
-                self.mirror_obs();
-                return Ok(cached);
+                return Ok(slot.data.clone());
             }
         }
         if inner.segments.contains_key(&id) && data.len() <= self.budget_bytes {
@@ -299,11 +331,10 @@ impl PageCache {
                 }
             };
             inner.map.insert(key, idx);
+            self.metrics.resident_bytes.set(inner.resident_bytes as u64);
         }
         // else: read-through — a page over budget (or a segment removed
         // mid-fill) is served without being cached.
-        drop(inner);
-        self.mirror_obs();
         Ok(data)
     }
 
@@ -327,41 +358,23 @@ impl PageCache {
             inner.map.remove(&key);
             inner.free.push(idx);
             inner.resident_bytes -= freed;
-            self.evictions.fetch_add(1, Ordering::Relaxed);
+            self.metrics.evictions.inc();
         }
     }
 
     /// Evicts every resident page of segment `id` (lock already held).
-    fn evict_segment_locked(inner: &mut PagerInner, id: u64, evictions: &AtomicU64) {
+    fn evict_segment_locked(&self, inner: &mut PagerInner, id: u64) {
         let victims: Vec<(u64, u64)> = inner.map.keys().filter(|k| k.0 == id).copied().collect();
         for key in victims {
             if let Some(idx) = inner.map.remove(&key) {
                 if let Some(slot) = inner.slots[idx].take() {
                     inner.resident_bytes -= slot.data.len();
                     inner.free.push(idx);
-                    evictions.fetch_add(1, Ordering::Relaxed);
+                    self.metrics.evictions.inc();
                 }
             }
         }
-    }
-
-    /// Mirrors the atomic counters into the attached registry, if any.
-    fn mirror_obs(&self) {
-        let Some(po) = self.obs.get() else {
-            return;
-        };
-        po.obs
-            .counter("pager.hits")
-            .set(self.hits.load(Ordering::Relaxed));
-        po.obs
-            .counter("pager.misses")
-            .set(self.misses.load(Ordering::Relaxed));
-        po.obs
-            .counter("pager.evictions")
-            .set(self.evictions.load(Ordering::Relaxed));
-        po.obs
-            .gauge("pager.resident_bytes")
-            .set(self.inner.lock().resident_bytes as u64);
+        self.metrics.resident_bytes.set(inner.resident_bytes as u64);
     }
 }
 
@@ -379,6 +392,10 @@ mod tests {
         p
     }
 
+    fn cache_over(vfs: Arc<dyn Vfs>, page_size: usize, budget: usize) -> PageCache {
+        PageCache::new(vfs, page_size, budget, &Arc::new(Obs::new()))
+    }
+
     fn pattern(len: usize) -> Vec<u8> {
         (0..len).map(|i| (i % 251) as u8).collect()
     }
@@ -387,7 +404,7 @@ mod tests {
     fn reads_match_file_contents_across_page_boundaries() {
         let data = pattern(1000);
         let p = tmpfile("bounds", &data);
-        let cache = PageCache::new(Arc::new(StdVfs), 64, 1 << 20);
+        let cache = cache_over(Arc::new(StdVfs), 64, 1 << 20);
         cache.register_segment(7, &p);
         let mut out = Vec::new();
         for (off, len) in [(0, 1000), (0, 64), (63, 2), (64, 64), (999, 1), (500, 0)] {
@@ -399,7 +416,7 @@ mod tests {
     #[test]
     fn hits_and_misses_are_counted() {
         let p = tmpfile("counts", &pattern(256));
-        let cache = PageCache::new(Arc::new(StdVfs), 64, 1 << 20);
+        let cache = cache_over(Arc::new(StdVfs), 64, 1 << 20);
         cache.register_segment(1, &p);
         let mut out = Vec::new();
         cache.read_into(1, 0, 128, &mut out).unwrap(); // pages 0,1: 2 misses
@@ -413,7 +430,7 @@ mod tests {
     fn resident_bytes_never_exceeds_budget() {
         let data = pattern(4096);
         let p = tmpfile("budget", &data);
-        let cache = PageCache::new(Arc::new(StdVfs), 64, 256); // 4 pages max
+        let cache = cache_over(Arc::new(StdVfs), 64, 256); // 4 pages max
         cache.register_segment(1, &p);
         let mut out = Vec::new();
         for off in (0..4096).step_by(64) {
@@ -430,7 +447,7 @@ mod tests {
     fn page_larger_than_budget_is_read_through() {
         let data = pattern(512);
         let p = tmpfile("huge-page", &data);
-        let cache = PageCache::new(Arc::new(StdVfs), 128, 64); // page > budget
+        let cache = cache_over(Arc::new(StdVfs), 128, 64); // page > budget
         cache.register_segment(1, &p);
         let mut out = Vec::new();
         cache.read_into(1, 0, 512, &mut out).unwrap();
@@ -445,7 +462,7 @@ mod tests {
     #[test]
     fn eof_and_unregistered_are_typed_errors() {
         let p = tmpfile("eof", &pattern(100));
-        let cache = PageCache::new(Arc::new(StdVfs), 64, 1 << 20);
+        let cache = cache_over(Arc::new(StdVfs), 64, 1 << 20);
         cache.register_segment(1, &p);
         let mut out = Vec::new();
         let e = cache.read_into(1, 90, 20, &mut out).unwrap_err();
@@ -460,7 +477,7 @@ mod tests {
     #[test]
     fn remove_segment_drops_pages_and_registration() {
         let p = tmpfile("remove", &pattern(256));
-        let cache = PageCache::new(Arc::new(StdVfs), 64, 1 << 20);
+        let cache = cache_over(Arc::new(StdVfs), 64, 1 << 20);
         cache.register_segment(1, &p);
         let mut out = Vec::new();
         cache.read_into(1, 0, 256, &mut out).unwrap();
@@ -476,7 +493,7 @@ mod tests {
         let data = pattern(256);
         let p = tmpfile("fault", &data);
         let vfs = Arc::new(FaultVfs::new());
-        let cache = PageCache::new(Arc::new(Arc::clone(&vfs)), 64, 1 << 20);
+        let cache = cache_over(Arc::new(Arc::clone(&vfs)), 64, 1 << 20);
         cache.register_segment(1, &p);
         let mut out = Vec::new();
         vfs.fail_nth(1);
@@ -490,26 +507,76 @@ mod tests {
     }
 
     #[test]
-    fn attached_obs_mirrors_counters_and_fill_latency() {
-        let p = tmpfile("obs", &pattern(256));
-        let cache = PageCache::new(Arc::new(StdVfs), 64, 1 << 20);
+    fn registry_is_the_only_counter_store() {
+        let p = tmpfile("obs", &pattern(1024));
+        let q = tmpfile("obs-b", &pattern(512));
         let obs = Arc::new(Obs::new());
-        cache.attach_obs(&obs);
+        let cache = PageCache::new(Arc::new(StdVfs), 64, 256, &obs); // 4 pages
         cache.register_segment(1, &p);
+        cache.register_segment(2, &q);
         let mut out = Vec::new();
-        cache.read_into(1, 0, 256, &mut out).unwrap();
-        cache.read_into(1, 0, 64, &mut out).unwrap();
-        assert_eq!(obs.counter("pager.hits").get(), 1);
-        assert_eq!(obs.counter("pager.misses").get(), 4);
-        assert_eq!(obs.gauge("pager.resident_bytes").get(), 256);
-        assert_eq!(obs.histogram("pager.fills_us").count(), 4);
+        let registry = |cache: &PageCache| {
+            let s = cache.stats();
+            assert_eq!(obs.counter("pager.hits").get(), s.hits);
+            assert_eq!(obs.counter("pager.misses").get(), s.misses);
+            assert_eq!(obs.counter("pager.evictions").get(), s.evictions);
+            assert_eq!(obs.gauge("pager.resident_bytes").get(), s.resident_bytes);
+            s
+        };
+        cache.read_into(1, 0, 128, &mut out).unwrap(); // 2 misses
+        cache.read_into(1, 0, 64, &mut out).unwrap(); // 1 hit
+        let s = registry(&cache);
+        assert_eq!(
+            (s.hits, s.misses, s.evictions, s.resident_bytes),
+            (1, 2, 0, 128)
+        );
+        cache.read_into(2, 0, 192, &mut out).unwrap(); // 3 misses, evicts
+        cache.read_into(1, 512, 128, &mut out).unwrap(); // 2 misses, evicts
+        let s = registry(&cache);
+        assert_eq!(s.misses, 7);
+        assert!(s.evictions >= 3, "evictions: {}", s.evictions);
+        assert!(s.resident_bytes <= 256);
+        let before = s.evictions;
+        cache.remove_segment(1);
+        let s = registry(&cache);
+        assert!(s.evictions > before, "remove_segment evicts resident pages");
+        cache.remove_segment(2);
+        let s = registry(&cache);
+        assert_eq!(s.resident_bytes, 0);
+        assert_eq!(obs.histogram("pager.fills_us").count(), s.misses);
+    }
+
+    #[test]
+    fn uncached_reads_bypass_the_cache_and_keep_faults_typed() {
+        let data = pattern(1000);
+        let p = tmpfile("uncached", &data);
+        let vfs = Arc::new(FaultVfs::new());
+        let cache = cache_over(Arc::new(Arc::clone(&vfs)), 64, 1 << 20);
+        cache.register_segment(1, &p);
+        assert_eq!(cache.read_uncached(1, 100, 900).unwrap(), &data[100..]);
+        assert_eq!(
+            cache.stats(),
+            PagerStats::default(),
+            "nothing filled or hit"
+        );
+        let e = cache.read_uncached(1, 900, 200).unwrap_err();
+        assert!(matches!(e, StorageError::UnexpectedEof { .. }), "{e}");
+        let e = cache.read_uncached(2, 0, 10).unwrap_err();
+        assert!(
+            matches!(e, StorageError::InvalidLength { value: 2, .. }),
+            "{e}"
+        );
+        vfs.fail_nth(1);
+        let e = cache.read_uncached(1, 0, 1000).unwrap_err();
+        assert!(matches!(e, StorageError::IoAt { .. }), "{e}");
+        assert_eq!(vfs.injected(), 1);
     }
 
     #[test]
     fn reregistering_an_id_drops_stale_pages() {
         let a = tmpfile("rereg-a", &[1u8; 128]);
         let b = tmpfile("rereg-b", &[2u8; 128]);
-        let cache = PageCache::new(Arc::new(StdVfs), 64, 1 << 20);
+        let cache = cache_over(Arc::new(StdVfs), 64, 1 << 20);
         cache.register_segment(1, &a);
         let mut out = Vec::new();
         cache.read_into(1, 0, 128, &mut out).unwrap();

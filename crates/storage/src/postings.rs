@@ -170,6 +170,28 @@ fn unpack(data: &[u8], n: usize, width: u32, out: &mut Vec<u32>) -> Result<(), S
     Ok(())
 }
 
+/// Value `i` of a stream packed LSB-first at `width` bits (≤ 32), read by
+/// random access. The caller has checked that `data` holds the stream, so
+/// the value's bytes are in bounds; a short tail is zero-padded.
+#[inline]
+fn packed_at(data: &[u8], i: usize, width: u32) -> u32 {
+    if width == 0 {
+        return 0;
+    }
+    let bit = i * width as usize;
+    let at = bit / 8;
+    let mut word = [0u8; 8];
+    match data.get(at..at + 8) {
+        Some(chunk) => word.copy_from_slice(chunk),
+        None => {
+            let tail = data.get(at..).unwrap_or_default();
+            word[..tail.len()].copy_from_slice(tail);
+        }
+    }
+    // width ≤ 32 and the in-byte shift ≤ 7, so the value sits in 39 bits.
+    ((u64::from_le_bytes(word) >> (bit % 8)) & ((1u64 << width) - 1)) as u32
+}
+
 // --------------------------------------------------------------- encoding --
 
 /// Appends the v2 encoding of `entries` (sorted ascending) to `w`.
@@ -379,6 +401,44 @@ pub fn list_count(data: &[u8]) -> Result<usize, StorageError> {
     })
 }
 
+/// One bit-packed stream of a block: `(width, packed bytes)`.
+type Stream<'a> = (u32, &'a [u8]);
+
+/// Splits one `width:u8 bitpacked(n values)` stream off the front of
+/// `data`, returning the stream and the bytes after it.
+fn split_stream(data: &[u8], n: usize) -> Result<(Stream<'_>, &[u8]), StorageError> {
+    let eof = || StorageError::UnexpectedEof {
+        context: "bitpacked stream",
+    };
+    let (&width, rest) = data.split_first().ok_or_else(eof)?;
+    let width = u32::from(width);
+    if width > 32 {
+        return Err(eof());
+    }
+    let len = packed_len(n, width);
+    if rest.len() < len {
+        return Err(eof());
+    }
+    Ok(((width, &rest[..len]), &rest[len..]))
+}
+
+/// The three streams of one block: table-id deltas, columns, rows.
+fn block_streams<'a>(
+    payload: &'a [u8],
+    entry: &SkipEntry,
+) -> Result<[Stream<'a>; 3], StorageError> {
+    let n = entry.entries as usize;
+    let block = payload
+        .get(entry.offset..entry.offset + entry.bytes)
+        .ok_or(StorageError::UnexpectedEof {
+            context: "posting block payload",
+        })?;
+    let (tables, rest) = split_stream(block, n - 1)?;
+    let (cols, rest) = split_stream(rest, n)?;
+    let (rows, _) = split_stream(rest, n)?;
+    Ok([tables, cols, rows])
+}
+
 /// Decodes the three streams of one block into the scratch buffers.
 fn decode_block(
     payload: &[u8],
@@ -386,42 +446,61 @@ fn decode_block(
     scratch: &mut ListScratch,
 ) -> Result<(), StorageError> {
     let n = entry.entries as usize;
-    let eof = || StorageError::UnexpectedEof {
-        context: "posting block payload",
-    };
-    let block = payload
-        .get(entry.offset..entry.offset + entry.bytes)
-        .ok_or_else(eof)?;
+    let [(tw, tables), (cw, cols), (rw, rows)] = block_streams(payload, entry)?;
     scratch.tables.clear();
     scratch.cols.clear();
     scratch.rows.clear();
-    let tw = u32::from(*block.first().ok_or_else(eof)?);
-    let t_len = packed_len(n - 1, tw);
     scratch.tables.push(entry.first_table);
-    unpack(&block[1..], n - 1, tw, &mut scratch.tables)?;
+    unpack(tables, n - 1, tw, &mut scratch.tables)?;
     // Deltas → absolute table ids.
     for i in 1..n {
         scratch.tables[i] = scratch.tables[i].wrapping_add(scratch.tables[i - 1]);
     }
-    let at = 1 + t_len;
-    let cw = u32::from(*block.get(at).ok_or_else(eof)?);
-    let c_len = packed_len(n, cw);
-    unpack(&block[at + 1..], n, cw, &mut scratch.cols)?;
-    let at = at + 1 + c_len;
-    let rw = u32::from(*block.get(at).ok_or_else(eof)?);
-    unpack(&block[at + 1..], n, rw, &mut scratch.rows)?;
+    unpack(cols, n, cw, &mut scratch.cols)?;
+    unpack(rows, n, rw, &mut scratch.rows)?;
     Ok(())
 }
 
-/// Decodes an inline body of `count` entries, appending to `out`.
+/// Appends entries `[lo, hi)` of one block to `out` without unpacking the
+/// whole block: table ids are prefix-summed from the deltas up to `hi`,
+/// and columns and rows are read by random access into their fixed-width
+/// streams.
+fn collect_block_range(
+    payload: &[u8],
+    entry: &SkipEntry,
+    lo: usize,
+    hi: usize,
+    out: &mut Vec<RawPosting>,
+) -> Result<(), StorageError> {
+    let [(tw, tables), (cw, cols), (rw, rows)] = block_streams(payload, entry)?;
+    // Entry i's table is first_table plus deltas 0..i; a zero-width delta
+    // stream (every single-table block) adds nothing.
+    let mut table = entry.first_table;
+    if tw > 0 {
+        for i in 0..lo {
+            table = table.wrapping_add(packed_at(tables, i, tw));
+        }
+    }
+    for i in lo..hi {
+        if i > lo && tw > 0 {
+            table = table.wrapping_add(packed_at(tables, i - 1, tw));
+        }
+        out.push((table, packed_at(cols, i, cw), packed_at(rows, i, rw)));
+    }
+    Ok(())
+}
+
+/// Decodes entries `[start, end)` of an inline body, appending to `out`
+/// (the entries before `start` are walked, not kept).
 fn decode_inline(
     mut body: &[u8],
-    count: usize,
+    start: usize,
+    end: usize,
     out: &mut Vec<RawPosting>,
 ) -> Result<(), StorageError> {
     let mut prev_table = 0u32;
-    out.reserve(count);
-    for _ in 0..count {
+    out.reserve(end - start);
+    for i in 0..end {
         let dt = varint::read_u32(&mut body)?;
         let c = varint::read_u32(&mut body)?;
         let r = varint::read_u32(&mut body)?;
@@ -432,20 +511,38 @@ fn decode_inline(
                 value: u64::from(dt),
             })?;
         prev_table = t;
-        out.push((t, c, r));
+        if i >= start {
+            out.push((t, c, r));
+        }
     }
     Ok(())
 }
 
-/// Fully decodes the list at `data`, appending to `out`.
+/// Fully decodes the list at `data`, appending to `out`. Blocks are
+/// decoded with the streaming unpack (every value of every stream is
+/// needed, so random access would buy nothing).
 pub fn decode_list(data: &[u8], out: &mut Vec<RawPosting>) -> Result<(), StorageError> {
     let mut scratch = ListScratch::new();
-    let mut counters = BlockCounters::default();
     let header = parse_header(data, &mut scratch.dir)?;
-    if header.blocked.is_none() {
-        return decode_inline(header.body, header.count, out);
+    let Some(payload) = header.blocked else {
+        return decode_inline(header.body, 0, header.count, out);
+    };
+    out.reserve(header.count);
+    for b in 0..scratch.dir.len() {
+        let entry = scratch.dir[b];
+        decode_block(payload, &entry, &mut scratch)?;
+        let ListScratch {
+            tables, cols, rows, ..
+        } = &scratch;
+        out.extend(
+            tables
+                .iter()
+                .zip(cols)
+                .zip(rows)
+                .map(|((&t, &c), &r)| (t, c, r)),
+        );
     }
-    collect_parsed(&header, &mut scratch, 0, header.count, out, &mut counters)
+    Ok(())
 }
 
 /// Calls `f(table, run_len)` for every maximal run of equal table ids, in
@@ -598,8 +695,8 @@ pub fn validate_list(data: &[u8], scratch: &mut ListScratch) -> Result<usize, St
 }
 
 /// Decodes entries `[start, start + len)` of the list, appending to `out`.
-/// Blocked lists decode only the blocks overlapping the range; the rest are
-/// counted as skipped.
+/// Blocked lists decode only the blocks overlapping the range — the rest
+/// are counted as skipped — and within those only the requested entries.
 pub fn collect_range(
     data: &[u8],
     start: usize,
@@ -609,38 +706,21 @@ pub fn collect_range(
     counters: &mut BlockCounters,
 ) -> Result<(), StorageError> {
     let header = parse_header(data, &mut scratch.dir)?;
-    if start + len > header.count {
+    let end = start.saturating_add(len);
+    if end > header.count {
         return Err(StorageError::InvalidLength {
             context: "posting range",
-            value: (start + len) as u64,
+            value: end as u64,
         });
     }
-    collect_parsed(&header, scratch, start, len, out, counters)
-}
-
-fn collect_parsed(
-    header: &Header<'_>,
-    scratch: &mut ListScratch,
-    start: usize,
-    len: usize,
-    out: &mut Vec<RawPosting>,
-    counters: &mut BlockCounters,
-) -> Result<(), StorageError> {
     if len == 0 {
         return Ok(());
     }
     let Some(payload) = header.blocked else {
-        // Inline: decode all (tiny) and slice the range.
-        let mut all = Vec::with_capacity(header.count);
-        decode_inline(header.body, header.count, &mut all)?;
-        out.extend_from_slice(&all[start..start + len]);
-        return Ok(());
+        return decode_inline(header.body, start, end, out);
     };
-    let end = start + len;
     out.reserve(len);
-    // scratch.dir is parsed; iterate blocks, skipping non-overlapping ones.
-    for b in 0..scratch.dir.len() {
-        let entry = scratch.dir[b];
+    for entry in &scratch.dir {
         let b_start = entry.first_entry as usize;
         let b_end = b_start + entry.entries as usize;
         if b_end <= start || b_start >= end {
@@ -648,12 +728,13 @@ fn collect_parsed(
             continue;
         }
         counters.decoded += 1;
-        decode_block(payload, &entry, scratch)?;
-        let lo = start.max(b_start) - b_start;
-        let hi = end.min(b_end) - b_start;
-        for i in lo..hi {
-            out.push((scratch.tables[i], scratch.cols[i], scratch.rows[i]));
-        }
+        collect_block_range(
+            payload,
+            entry,
+            start.max(b_start) - b_start,
+            end.min(b_end) - b_start,
+            out,
+        )?;
     }
     Ok(())
 }
@@ -900,6 +981,70 @@ mod tests {
             (v2 as f64) < (v1 as f64) * 0.6,
             "v2 {v2} should be well under v1 {v1}"
         );
+    }
+
+    /// Random lists whose component streams span bit widths 0–32: entries
+    /// draw their table from a handful of ids (so many blocks are
+    /// single-table) and mask columns and rows to per-list widths.
+    fn width_lists() -> impl Strategy<Value = (Vec<RawPosting>, usize)> {
+        (
+            proptest::collection::vec(any::<u32>(), 1..4),
+            proptest::collection::vec((any::<u32>(), any::<u32>(), any::<u32>()), 0..90),
+            (0u32..=32, 0u32..=32, 0u32..=32),
+            2usize..24,
+        )
+            .prop_map(|(tables, raw, (wt, wc, wr), block_len)| {
+                let mask = |w: u32| if w == 32 { u32::MAX } else { (1u32 << w) - 1 };
+                let mut entries: Vec<RawPosting> = raw
+                    .into_iter()
+                    .map(|(t, c, r)| {
+                        (
+                            tables[t as usize % tables.len()] & mask(wt),
+                            c & mask(wc),
+                            r & mask(wr),
+                        )
+                    })
+                    .collect();
+                entries.sort_unstable();
+                entries.dedup();
+                (entries, block_len)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn prop_range_decode_matches_full_decode((entries, block_len) in width_lists()) {
+            let data = encode(&entries, block_len);
+            let mut full = Vec::new();
+            decode_list(&data, &mut full).unwrap();
+            prop_assert_eq!(&full, &entries);
+            let n = entries.len();
+            let nblocks = if n > INLINE_MAX { n.div_ceil(block_len) } else { 0 };
+            let mut scratch = ListScratch::new();
+            let mut out = Vec::new();
+            for start in 0..=n {
+                for len in 0..=n - start {
+                    let mut counters = BlockCounters::default();
+                    out.clear();
+                    collect_range(&data, start, len, &mut scratch, &mut out, &mut counters).unwrap();
+                    prop_assert_eq!(&out[..], &full[start..start + len], "range {}+{}", start, len);
+                    // Counters are those of whole-block decoding: every
+                    // block overlapping the range is decoded, the rest skipped.
+                    let decoded = if len == 0 || nblocks == 0 {
+                        0
+                    } else {
+                        (start + len - 1) / block_len - start / block_len + 1
+                    };
+                    let skipped = if len == 0 { 0 } else { nblocks - decoded };
+                    prop_assert_eq!(
+                        (counters.decoded, counters.skipped),
+                        (decoded as u64, skipped as u64),
+                        "counters for {}+{}", start, len
+                    );
+                }
+            }
+        }
     }
 
     proptest! {
