@@ -46,12 +46,12 @@
 
 use crate::config::MateConfig;
 use crate::init_column::select_initial_column;
-use crate::joinability::{verify_table_joinability, RowPair};
-use crate::query_keys::QueryKeyMap;
+use crate::joinability::{RowPair, VerifyScratch};
+use crate::query_keys::{QueryKeyMap, QueryRowKey};
 use crate::stats::{DiscoveryStats, WorkerStats};
 pub use crate::topk::TableResult;
 use crate::topk::TopK;
-use mate_hash::fx::FxHashMap;
+use mate_hash::fx::{FxHashMap, FxHashSet};
 use mate_hash::{covers, RowHasher};
 use mate_index::{
     ColdIndex, InvertedIndex, ListHandle, PostingEntry, PostingSource, ProbeScratch, SuperKeyStore,
@@ -75,7 +75,9 @@ pub struct DiscoveryResult {
 /// candidate is evaluated.
 #[derive(Debug, Clone, Copy)]
 struct ValueRun {
-    /// Dense id of the query value (index into the run's `values`).
+    /// The candidate table.
+    table: u32,
+    /// Dense id of the query value (index into the run's `value_rows`).
     vid: u32,
     /// The posting list in the source.
     list: ListHandle,
@@ -83,6 +85,14 @@ struct ValueRun {
     start: u32,
     /// Entries in the run.
     len: u32,
+}
+
+/// One candidate table: its value runs (ascending value id) and its PL-item
+/// count `l_t`.
+struct Candidate<'r> {
+    table: u32,
+    runs: &'r [ValueRun],
+    l_t: usize,
 }
 
 /// The discovery engine. Borrows the corpus (for verification), a posting
@@ -198,31 +208,33 @@ impl<'a> MateDiscovery<'a> {
 
         let key_map = QueryKeyMap::build(query, q_cols, initial, self.hasher);
 
-        // Resolve the PL of every distinct initial-column value and group it
-        // by table — positionally (table runs), without decoding entries.
-        let mut by_table: FxHashMap<u32, Vec<ValueRun>> = FxHashMap::default();
-        let mut values: Vec<&str> = Vec::new();
+        // Resolve the PL of every distinct initial-column value — and its
+        // query rows, once — then group the runs by table positionally
+        // (table runs), without decoding entries.
+        let mut runs: Vec<ValueRun> = Vec::new();
+        let mut value_rows: Vec<&[QueryRowKey]> = Vec::new();
         {
             let mut scratch = ProbeScratch::new();
-            let mut seen: FxHashMap<&str, u32> = FxHashMap::default();
+            let mut seen: FxHashSet<&str> = FxHashSet::default();
             for v in &query.column(initial).values {
-                if v.is_empty() || seen.contains_key(v.as_str()) {
+                if v.is_empty() || !seen.insert(v.as_str()) {
                     continue;
                 }
                 // Only values that reach at least one usable query row matter.
-                if key_map.rows_for(v).is_empty() {
+                let rows = key_map.rows_for(v);
+                if rows.is_empty() {
                     continue;
                 }
-                let vid = values.len() as u32;
-                seen.insert(v, vid);
-                values.push(v);
+                let vid = value_rows.len() as u32;
+                value_rows.push(rows);
                 if let Some(list) = self.source.find_list(v, &mut scratch) {
                     stats.pl_lists_fetched += 1;
                     stats.pl_items_fetched += list.len as usize;
                     let mut at = 0u32;
                     self.source
                         .table_runs(list, &mut scratch, &mut |table, len| {
-                            by_table.entry(table).or_default().push(ValueRun {
+                            runs.push(ValueRun {
+                                table,
                                 vid,
                                 list,
                                 start: at,
@@ -233,17 +245,20 @@ impl<'a> MateDiscovery<'a> {
                 }
             }
         }
+        // Runs were pushed in (value id, start) order; this keeps it per table.
+        runs.sort_unstable_by_key(|r| (r.table, r.vid, r.start));
 
         // Sort candidate tables by PL-item count descending (line 5); ties by
         // table id for determinism.
-        let mut candidates: Vec<(u32, Vec<ValueRun>, usize)> = by_table
-            .into_iter()
-            .map(|(tid, runs)| {
-                let l_t = runs.iter().map(|r| r.len as usize).sum();
-                (tid, runs, l_t)
+        let mut candidates: Vec<Candidate<'_>> = runs
+            .chunk_by(|a, b| a.table == b.table)
+            .map(|runs| Candidate {
+                table: runs[0].table,
+                runs,
+                l_t: runs.iter().map(|r| r.len as usize).sum(),
             })
             .collect();
-        candidates.sort_unstable_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(&b.0)));
+        candidates.sort_unstable_by(|a, b| b.l_t.cmp(&a.l_t).then(a.table.cmp(&b.table)));
         stats.candidate_tables = candidates.len();
         stats.init_elapsed = Duration::from_nanos(clock.now_nanos().saturating_sub(start_nanos));
 
@@ -257,8 +272,7 @@ impl<'a> MateDiscovery<'a> {
             clock: clock.as_ref(),
             query,
             q_cols,
-            key_map: &key_map,
-            values: &values,
+            value_rows: &value_rows,
         };
         let top_k = if threads <= 1 || candidates.len() < 2 {
             Self::discover_sequential(&shared, &candidates, k, &mut stats)
@@ -273,7 +287,7 @@ impl<'a> MateDiscovery<'a> {
     /// The sequential per-table loop (line 7), exactly the seed engine.
     fn discover_sequential(
         ctx: &SharedCtx<'_>,
-        candidates: &[(u32, Vec<ValueRun>, usize)],
+        candidates: &[Candidate<'_>],
         k: usize,
         stats: &mut DiscoveryStats,
     ) -> Vec<TableResult> {
@@ -281,10 +295,12 @@ impl<'a> MateDiscovery<'a> {
         let mut worker = WorkerStats::default();
         let mut probe = ProbeState::default();
 
-        for (tid_raw, runs, l_t) in candidates {
+        for cand in candidates {
             // Table filtering rule 1 (line 9): tables are sorted, so once the
             // PL count cannot beat j_k nothing later can either.
-            if ctx.config.table_filtering && topk.is_full() && *l_t as u64 <= topk.min_joinability()
+            if ctx.config.table_filtering
+                && topk.is_full()
+                && cand.l_t as u64 <= topk.min_joinability()
             {
                 stats.stopped_early_rule1 = true;
                 break;
@@ -296,17 +312,9 @@ impl<'a> MateDiscovery<'a> {
             } else {
                 None
             };
-            match evaluate_candidate(
-                ctx,
-                TableId(*tid_raw),
-                runs,
-                *l_t,
-                floor,
-                &mut worker,
-                &mut probe,
-            ) {
-                Some(joinability) => topk.update(TableId(*tid_raw), joinability),
-                None => continue,
+            if let Some(joinability) = evaluate_candidate(ctx, cand, floor, &mut worker, &mut probe)
+            {
+                topk.update(TableId(cand.table), joinability);
             }
         }
 
@@ -319,7 +327,7 @@ impl<'a> MateDiscovery<'a> {
     /// candidates, a shared `j_k` floor, and a deterministic merge.
     fn discover_parallel(
         ctx: &SharedCtx<'_>,
-        candidates: &[(u32, Vec<ValueRun>, usize)],
+        candidates: &[Candidate<'_>],
         k: usize,
         threads: usize,
         stats: &mut DiscoveryStats,
@@ -363,14 +371,14 @@ impl<'a> MateDiscovery<'a> {
                         // *later* candidates and over-prune).
                         let jk = floor.load(Ordering::Relaxed);
                         let at = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some((tid_raw, runs, l_t)) = candidates.get(at) else {
+                        let Some(cand) = candidates.get(at) else {
                             break;
                         };
 
                         // Rule 1, strict form: the shared floor never exceeds
                         // the final j_k, so `l_t < floor` proves this table —
                         // and every later (smaller) one — is out.
-                        if ctx.config.table_filtering && jk > 0 && (*l_t as u64) < jk {
+                        if ctx.config.table_filtering && jk > 0 && (cand.l_t as u64) < jk {
                             stopped.store(true, Ordering::Relaxed);
                             hit_rule1 = true;
                             break;
@@ -381,25 +389,19 @@ impl<'a> MateDiscovery<'a> {
                         } else {
                             None
                         };
-                        let Some(joinability) = evaluate_candidate(
-                            ctx,
-                            TableId(*tid_raw),
-                            runs,
-                            *l_t,
-                            floor_arg,
-                            &mut worker,
-                            &mut probe,
-                        ) else {
+                        let Some(joinability) =
+                            evaluate_candidate(ctx, cand, floor_arg, &mut worker, &mut probe)
+                        else {
                             continue;
                         };
-                        results.push((at, *tid_raw, joinability));
+                        results.push((at, cand.table, joinability));
                         if joinability > 0 {
                             // panic-exempt: poisoning means a sibling
                             // worker panicked, and that panic propagates
                             // at the scope join below anyway — this
                             // thread's result is discarded either way.
                             let mut topk = shared_topk.lock().expect("topk lock");
-                            topk.update(TableId(*tid_raw), joinability);
+                            topk.update(TableId(cand.table), joinability);
                             if topk.is_full() {
                                 // Floors from different workers only ever
                                 // grow; store keeps the freshest k-th best.
@@ -447,17 +449,65 @@ struct SharedCtx<'a> {
     clock: &'a dyn mate_obs::Clock,
     query: &'a Table,
     q_cols: &'a [ColId],
-    key_map: &'a QueryKeyMap,
-    values: &'a [&'a str],
+    /// Query rows per value id.
+    value_rows: &'a [&'a [QueryRowKey]],
 }
 
-/// Per-worker probe state: the source scratch plus the run decode buffer.
-/// Reused across every candidate a worker evaluates, so cold-mode decoding
-/// allocates nothing in the steady state.
+/// Rows below this index keep their row-filter stamp in a dense array (at
+/// most 64 KiB per worker, grown only as far as the rows touched); rows
+/// beyond it — only tables longer than 16 Ki rows have them — keep it in a
+/// hash map, so touching a few rows of a very long table does not
+/// zero-fill a stamp for every row before them.
+const DENSE_STAMP_ROWS: usize = 1 << 14;
+
+/// Per-worker probe state, reused across every candidate a worker
+/// evaluates so candidate evaluation allocates nothing in the steady state:
+/// the source scratch, the run decode buffer, the filtered pairs, the row
+/// stamps of the row filter, and the verification scratch.
 #[derive(Default)]
-struct ProbeState {
+struct ProbeState<'q> {
     scratch: ProbeScratch,
     entries: Vec<PostingEntry>,
+    pairs: Vec<RowPair>,
+    stamps: RowStamps,
+    verify: VerifyScratch<'q>,
+}
+
+/// Candidate row → the generation in which the row filter last saw it.
+#[derive(Default)]
+struct RowStamps {
+    /// Rows below [`DENSE_STAMP_ROWS`].
+    dense: Vec<u32>,
+    /// Rows at or beyond [`DENSE_STAMP_ROWS`].
+    far: FxHashMap<u32, u32>,
+    /// Bumped per (table, value id); never 0 once evaluation starts.
+    generation: u32,
+}
+
+impl RowStamps {
+    /// Starts a new generation, so every row reads as not seen.
+    fn next_generation(&mut self) {
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            self.dense.fill(0);
+            self.far.clear();
+            self.generation = 1;
+        }
+    }
+
+    /// Stamps `row` with the current generation; true if it already was.
+    fn restamp(&mut self, row: u32) -> bool {
+        let stamp = if (row as usize) < DENSE_STAMP_ROWS {
+            let row = row as usize;
+            if row >= self.dense.len() {
+                self.dense.resize(row + 1, 0);
+            }
+            &mut self.dense[row]
+        } else {
+            self.far.entry(row).or_insert(0)
+        };
+        std::mem::replace(stamp, self.generation) == self.generation
+    }
 }
 
 /// Runs row filtering (lines 13-20) and `calculateJ` (lines 21-22) for one
@@ -470,26 +520,34 @@ struct ProbeState {
 /// `≤ j_k` test); parallel callers pass the shared floor itself, whose
 /// strict `<` comparison stays lossless while other workers are still
 /// raising it.
-fn evaluate_candidate(
-    ctx: &SharedCtx<'_>,
-    tid: TableId,
-    runs: &[ValueRun],
-    l_t: usize,
+fn evaluate_candidate<'a>(
+    ctx: &SharedCtx<'a>,
+    cand: &Candidate<'_>,
     floor: Option<u64>,
     worker: &mut WorkerStats,
-    probe: &mut ProbeState,
+    probe: &mut ProbeState<'a>,
 ) -> Option<u64> {
     worker.tables_evaluated += 1;
+    let l_t = cand.l_t;
     let mut r_checked = 0usize;
     let mut r_match = 0usize;
-    let mut pairs: Vec<RowPair> = Vec::new();
-    // (candidate row, query row) → did it pass the super-key filter?
-    // Memoizing failures too keeps this a single probe per occurrence (the
-    // same pair resurfaces when a value hits several columns of one row).
-    let mut seen_pairs: FxHashMap<(u32, u32), bool> = FxHashMap::default();
+    probe.pairs.clear();
+    // A (candidate row, query row) pair is filtered once. A query row has
+    // exactly one initial-column value, so its pairs can only recur inside
+    // that value's runs — when the value sits in several columns of one
+    // candidate row. A row stamp per candidate row, in a generation bumped
+    // whenever the value id changes, therefore identifies every repeat; a
+    // repeated row recomputes whether it matches without counting a check
+    // or pushing a pair again.
+    let mut vid = None;
 
     // ---- Row filtering (lines 13-20) ----------------------------------
-    for run in runs {
+    for run in cand.runs {
+        debug_assert!(vid <= Some(run.vid), "runs arrive in ascending value id");
+        if vid != Some(run.vid) {
+            vid = Some(run.vid);
+            probe.stamps.next_generation();
+        }
         // Decode this value's entries for the candidate (hot: a slice copy;
         // cold: only the blocks the run overlaps — the skip headers bound
         // the decode before any payload is touched).
@@ -505,7 +563,8 @@ fn evaluate_candidate(
         );
         worker.blocks_decoded += counters.decoded;
         worker.blocks_skipped += counters.skipped;
-        let value = ctx.values[run.vid as usize];
+        let rows = ctx.value_rows[run.vid as usize];
+        let row_filtering = ctx.config.row_filtering;
 
         for entry in &probe.entries {
             // Table filtering rule 2 (line 14): even if every remaining row
@@ -521,46 +580,40 @@ fn evaluate_candidate(
             r_checked += 1;
 
             let superkey = ctx.superkeys.key(entry.table, entry.row);
-            let mut entry_matched = false;
-            for qk in ctx.key_map.rows_for(value) {
-                let pair_key = (entry.row.0, qk.row.0);
-                match seen_pairs.entry(pair_key) {
-                    std::collections::hash_map::Entry::Occupied(seen) => {
-                        entry_matched |= *seen.get();
+            let passes = |qk: &QueryRowKey| !row_filtering || covers(superkey, qk.superkey.words());
+            let entry_matched = if probe.stamps.restamp(entry.row.0) {
+                rows.iter().any(passes)
+            } else {
+                let mut matched = false;
+                for qk in rows {
+                    if row_filtering {
+                        worker.rows_filter_checked += 1;
                     }
-                    std::collections::hash_map::Entry::Vacant(slot) => {
-                        let passes = if ctx.config.row_filtering {
-                            worker.rows_filter_checked += 1;
-                            covers(superkey, qk.superkey.words())
-                        } else {
-                            true
-                        };
-                        slot.insert(passes);
-                        if passes {
-                            pairs.push(RowPair {
-                                candidate_row: entry.row,
-                                query_row: qk.row,
-                                tuple_id: qk.tuple_id,
-                            });
-                            entry_matched = true;
-                        }
+                    if passes(qk) {
+                        probe.pairs.push(RowPair {
+                            candidate_row: entry.row,
+                            query_row: qk.row,
+                            tuple_id: qk.tuple_id,
+                        });
+                        matched = true;
                     }
                 }
-            }
+                matched
+            };
             if entry_matched {
                 r_match += 1;
             }
         }
     }
-    worker.rows_passed_filter += pairs.len();
+    worker.rows_passed_filter += probe.pairs.len();
 
     // ---- calculateJ (lines 21-22) --------------------------------------
-    let candidate = ctx.corpus.table(tid);
-    let outcome = verify_table_joinability(
+    let candidate = ctx.corpus.table(TableId(cand.table));
+    let outcome = probe.verify.verify(
         candidate,
         ctx.query,
         ctx.q_cols,
-        &pairs,
+        &probe.pairs,
         ctx.config.max_mappings_per_row,
     );
     worker.rows_verified_joinable += outcome.true_positive_pairs;
@@ -805,6 +858,132 @@ mod tests {
         let (corpus, index, _, _) = setup();
         let wrong = mate_hash::BloomFilterHasher::new(HashSize::B128, 3);
         MateDiscovery::new(&corpus, &index, &wrong);
+    }
+
+    #[test]
+    fn repeated_initial_value_in_one_row_is_filtered_once() {
+        // T0 row 0 holds the initial value "x" in two columns, so its pairs
+        // with query rows 0 and 1 resurface on the second occurrence; row 2
+        // holds "z" twice. Row 3 holds both "x" and "z": it is a first visit
+        // in each value's run. T0 rows 1 and 3 and every row of T1 fail the
+        // super-key filter.
+        let mut corpus = Corpus::new();
+        corpus.add_table(
+            TableBuilder::new("T0", ["a", "b", "c"])
+                .row(["x", "x", "y1"])
+                .row(["x", "q", "w"])
+                .row(["z", "z", "y3"])
+                .row(["x", "z", "y9"])
+                .build(),
+        );
+        corpus.add_table(
+            TableBuilder::new("T1", ["a", "b"])
+                .row(["x", "n1"])
+                .row(["x", "n2"])
+                .row(["z", "n3"])
+                .build(),
+        );
+        let hasher = Xash::new(HashSize::B128);
+        let index = IndexBuilder::new(hasher).build(&corpus);
+        let query = TableBuilder::new("d", ["p", "q"])
+            .row(["x", "y1"])
+            .row(["x", "y2"])
+            .row(["z", "y3"])
+            .build();
+        let run = |row_filtering: bool| {
+            let cfg = MateConfig {
+                heuristic: crate::InitColumnHeuristic::ColumnOrder,
+                row_filtering,
+                ..Default::default()
+            };
+            MateDiscovery::with_config(&corpus, &index, &hasher, cfg).discover(
+                &query,
+                &[ColId(0), ColId(1)],
+                1,
+            )
+        };
+        let expect_top = vec![TableResult {
+            table: TableId(0),
+            joinability: 2,
+        }];
+
+        // Filter on. T0 (l_t = 7) is evaluated first. "x" run: row 0 checks
+        // query rows 0 and 1 (row 0 passes), its repeat checks nothing; rows
+        // 1 and 3 check 2 each and fail. "z" run: row 2 checks 1 and passes,
+        // its repeat checks nothing; row 3 checks 1 and fails. That is 8
+        // checks and 2 pairs, j = 2 (both under p→a, q→c). T1 (l_t = 3) runs
+        // against floor j_k + 1 = 3: its first entry checks 2 and fails,
+        // leaving a bound of 2, so rule 2 abandons it.
+        let on = run(true);
+        assert_eq!(on.top_k, expect_top);
+        assert_eq!(on.stats.tables_evaluated, 2);
+        assert_eq!(on.stats.rows_filter_checked, 8 + 2);
+        assert_eq!(on.stats.rows_passed_filter, 2);
+        assert_eq!(on.stats.tables_skipped_rule2, 1);
+        assert_eq!(on.stats.rows_verified_joinable, 2);
+        assert_eq!(on.stats.false_positive_rows, 0);
+
+        // Filter off. Every first visit pairs with every query row of its
+        // value (T0: 2 + 2 + 2 + 1 + 1, T1: 2 + 2 + 1) and every entry
+        // matches, so rule 2 never fires.
+        let off = run(false);
+        assert_eq!(off.top_k, expect_top);
+        assert_eq!(off.stats.tables_evaluated, 2);
+        assert_eq!(off.stats.rows_filter_checked, 0);
+        assert_eq!(off.stats.rows_passed_filter, 8 + 5);
+        assert_eq!(off.stats.tables_skipped_rule2, 0);
+        assert_eq!(off.stats.rows_verified_joinable, 2);
+        assert_eq!(off.stats.false_positive_rows, 11);
+    }
+
+    #[test]
+    fn repeated_row_beyond_dense_stamps_is_filtered_once() {
+        // The repeat sits in a row past DENSE_STAMP_ROWS, so its stamp lives
+        // in the hash map: "x" in two columns of the last row, and once in
+        // row 0, which fails the filter. Every other cell is empty.
+        let last = DENSE_STAMP_ROWS + 16;
+        let mut tb = TableBuilder::new("long", ["a", "b", "c"]).row(["x", "q", "w"]);
+        for _ in 1..last {
+            tb = tb.row(["", "", ""]);
+        }
+        let mut corpus = Corpus::new();
+        corpus.add_table(tb.row(["x", "x", "y1"]).build());
+        let hasher = Xash::new(HashSize::B128);
+        let index = IndexBuilder::new(hasher).build(&corpus);
+        let query = TableBuilder::new("d", ["p", "q"])
+            .row(["x", "y1"])
+            .row(["x", "y2"])
+            .build();
+        let run = |row_filtering: bool| {
+            let cfg = MateConfig {
+                heuristic: crate::InitColumnHeuristic::ColumnOrder,
+                row_filtering,
+                ..Default::default()
+            };
+            MateDiscovery::with_config(&corpus, &index, &hasher, cfg).discover(
+                &query,
+                &[ColId(0), ColId(1)],
+                1,
+            )
+        };
+        let expect_top = vec![TableResult {
+            table: TableId(0),
+            joinability: 1,
+        }];
+
+        // Row 0 checks 2 and fails; the last row checks 2 and passes with
+        // query row 0; its repeat checks nothing.
+        let on = run(true);
+        assert_eq!(on.top_k, expect_top);
+        assert_eq!(on.stats.rows_filter_checked, 4);
+        assert_eq!(on.stats.rows_passed_filter, 1);
+        assert_eq!(on.stats.false_positive_rows, 0);
+
+        // Unfiltered, each first visit pairs with both query rows.
+        let off = run(false);
+        assert_eq!(off.top_k, expect_top);
+        assert_eq!(off.stats.rows_passed_filter, 4);
+        assert_eq!(off.stats.false_positive_rows, 3);
     }
 
     // ------------------------------------------------------- parallelism --

@@ -22,32 +22,38 @@ pub struct QueryRowKey {
     pub superkey: HashBits,
 }
 
-/// Maps initial-column values to the query rows they occur in.
+/// Maps initial-column values to the query rows they occur in. Borrows the
+/// query table's cells as keys.
 #[derive(Debug)]
-pub struct QueryKeyMap {
-    map: FxHashMap<String, Vec<QueryRowKey>>,
+pub struct QueryKeyMap<'q> {
+    map: FxHashMap<&'q str, Vec<QueryRowKey>>,
     num_tuples: u32,
     num_key_rows: usize,
 }
 
-impl QueryKeyMap {
+impl<'q> QueryKeyMap<'q> {
     /// Builds the map.
     ///
     /// Rows in which any key column is empty are skipped: they can never form
-    /// a complete composite-key match.
+    /// a complete composite-key match. The hasher runs once per distinct key
+    /// value, and a super key is OR-aggregated once per distinct key tuple.
     pub fn build(
-        query: &Table,
+        query: &'q Table,
         q_cols: &[ColId],
         initial_col: ColId,
         hasher: &dyn RowHasher,
     ) -> Self {
-        let mut map: FxHashMap<String, Vec<QueryRowKey>> = FxHashMap::default();
-        let mut tuple_ids: FxHashMap<Vec<&str>, u32> = FxHashMap::default();
+        let mut map: FxHashMap<&'q str, Vec<QueryRowKey>> = FxHashMap::default();
+        let mut tuple_ids: FxHashMap<Vec<&'q str>, u32> = FxHashMap::default();
+        // Super key per tuple id; hash per distinct value.
+        let mut tuple_keys: Vec<HashBits> = Vec::new();
+        let mut value_hashes: FxHashMap<&'q str, HashBits> = FxHashMap::default();
+        let mut tuple: Vec<&'q str> = Vec::with_capacity(q_cols.len());
         let mut num_key_rows = 0usize;
 
         'rows: for r in 0..query.num_rows() {
             let row = RowId::from(r);
-            let mut tuple: Vec<&str> = Vec::with_capacity(q_cols.len());
+            tuple.clear();
             for &q in q_cols {
                 let v = query.cell(row, q);
                 if v.is_empty() {
@@ -55,24 +61,35 @@ impl QueryKeyMap {
                 }
                 tuple.push(v);
             }
-            let next_id = tuple_ids.len() as u32;
-            let tuple_id = *tuple_ids.entry(tuple.clone()).or_insert(next_id);
+            let tuple_id = match tuple_ids.get(tuple.as_slice()) {
+                Some(&id) => id,
+                None => {
+                    let id = tuple_keys.len() as u32;
+                    let mut sk = HashBits::zero(hasher.hash_size());
+                    for &v in &tuple {
+                        sk.or_assign(
+                            value_hashes
+                                .entry(v)
+                                .or_insert_with(|| hasher.hash_value(v)),
+                        );
+                    }
+                    tuple_keys.push(sk);
+                    tuple_ids.insert(tuple.clone(), id);
+                    id
+                }
+            };
 
-            let mut sk = HashBits::zero(hasher.hash_size());
-            for v in &tuple {
-                sk.or_assign(&hasher.hash_value(v));
-            }
             num_key_rows += 1;
-            map.entry(query.cell(row, initial_col).to_string())
+            map.entry(query.cell(row, initial_col))
                 .or_default()
                 .push(QueryRowKey {
                     row,
                     tuple_id,
-                    superkey: sk,
+                    superkey: tuple_keys[tuple_id as usize],
                 });
         }
         QueryKeyMap {
-            num_tuples: tuple_ids.len() as u32,
+            num_tuples: tuple_keys.len() as u32,
             map,
             num_key_rows,
         }
@@ -106,6 +123,7 @@ mod tests {
     use super::*;
     use mate_hash::{HashSize, Xash};
     use mate_table::TableBuilder;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn query() -> Table {
         TableBuilder::new("d", ["f", "l", "c"])
@@ -159,5 +177,59 @@ mod tests {
         // All 4 rows have a non-empty country.
         assert_eq!(m.num_key_rows(), 4);
         assert_eq!(m.num_distinct_tuples(), 3); // us, uk, de
+    }
+
+    /// Counts `hash_value` calls on the way to an inner hasher.
+    struct Counting<H> {
+        inner: H,
+        calls: AtomicUsize,
+    }
+
+    impl<H: RowHasher> RowHasher for Counting<H> {
+        fn hash_size(&self) -> HashSize {
+            self.inner.hash_size()
+        }
+        fn hash_value(&self, value: &str) -> HashBits {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            self.inner.hash_value(value)
+        }
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+    }
+
+    #[test]
+    fn hashes_each_distinct_key_value_once() {
+        // Values repeat within and across rows and columns: "x" sits in both
+        // key columns, "lee" in three rows.
+        let q = TableBuilder::new("d", ["f", "l", "c"])
+            .row(["x", "lee", "us"])
+            .row(["ansel", "lee", "x"])
+            .row(["x", "lee", "us"])
+            .row(["x", "", "us"]) // incomplete key: never hashed
+            .row(["muhammad", "lee", "uk"])
+            .build();
+        let key = [ColId(0), ColId(1), ColId(2)];
+        let h = Counting {
+            inner: Xash::new(HashSize::B128),
+            calls: AtomicUsize::new(0),
+        };
+        let m = QueryKeyMap::build(&q, &key, ColId(0), &h);
+        // Distinct values over complete rows: x, lee, us, ansel, muhammad, uk.
+        assert_eq!(h.calls.load(Ordering::Relaxed), 6);
+
+        // Super keys are those of hashing every value of every row.
+        let plain = Xash::new(HashSize::B128);
+        for value in ["x", "ansel", "muhammad"] {
+            for qk in m.rows_for(value) {
+                let mut expect = HashBits::zero(HashSize::B128);
+                for &c in &key {
+                    expect.or_assign(&plain.hash_value(q.cell(qk.row, c)));
+                }
+                assert_eq!(qk.superkey, expect, "row {}", qk.row);
+            }
+        }
+        assert_eq!(m.rows_for("x").len(), 2);
+        assert_eq!(m.num_distinct_tuples(), 3);
     }
 }

@@ -5,11 +5,18 @@ use mate_core::{MateConfig, MateDiscovery};
 use mate_hash::{HashSize, Xash};
 use mate_index::{IndexBuilder, InvertedIndex};
 use mate_lake::{CorpusProfile, GeneratedQuery, LakeGenerator, LakeSpec, QuerySpec};
-use mate_table::Corpus;
+use mate_table::{Corpus, RowId, TableBuilder};
 use proptest::prelude::*;
 
-/// Builds a Zipf lake with planted joins and planted false-positive tables.
-fn build_lake(seed: u64, rows: usize, key_size: usize) -> (Corpus, GeneratedQuery) {
+/// Builds a Zipf lake with planted joins and planted false-positive tables,
+/// plus `vocab_tables` tables drawn from a tiny vocabulary of the query's
+/// key values (see [`add_small_vocab_tables`]).
+fn build_lake(
+    seed: u64,
+    rows: usize,
+    key_size: usize,
+    vocab_tables: usize,
+) -> (Corpus, GeneratedQuery) {
     let mut generator = LakeGenerator::new(LakeSpec::new(CorpusProfile::web_tables(0), seed));
     let mut corpus = Corpus::new();
     let spec = QuerySpec {
@@ -28,7 +35,47 @@ fn build_lake(seed: u64, rows: usize, key_size: usize) -> (Corpus, GeneratedQuer
     };
     let query = generator.generate_query(&mut corpus, &spec);
     generator.generate_noise(&mut corpus, 50);
+    add_small_vocab_tables(&mut corpus, &query, seed, vocab_tables);
     (corpus, query)
+}
+
+/// Adds `count` tables whose cells repeat the key values of the query's
+/// first two rows: a value then sits in several columns of one row and
+/// several rows of one table, so the row filter meets repeated
+/// (candidate row, query row) pairs and verification meets rows with more
+/// than one column mapping.
+fn add_small_vocab_tables(corpus: &mut Corpus, query: &GeneratedQuery, seed: u64, count: usize) {
+    let mut vocab: Vec<String> = Vec::new();
+    for r in 0..query.table.num_rows().min(2) {
+        for &c in &query.key {
+            let v = query.table.cell(RowId::from(r), c);
+            if !v.is_empty() && !vocab.iter().any(|w| w == v) {
+                vocab.push(v.to_string());
+            }
+        }
+    }
+    if vocab.is_empty() {
+        return;
+    }
+    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    let mut next = |n: usize| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % n as u64) as usize
+    };
+    for t in 0..count {
+        let ncols = 2 + next(4);
+        let headers: Vec<String> = (0..ncols).map(|c| format!("v{c}")).collect();
+        let mut tb = TableBuilder::new(format!("vocab{t}"), headers);
+        for _ in 0..2 + next(10) {
+            let row: Vec<&str> = (0..ncols)
+                .map(|_| vocab[next(vocab.len())].as_str())
+                .collect();
+            tb = tb.row(row);
+        }
+        corpus.add_table(tb.build());
+    }
 }
 
 fn run(
@@ -58,8 +105,9 @@ proptest! {
         rows in 5usize..40,
         key_size in 1usize..4,
         k in 1usize..8,
+        vocab_tables in 0usize..8,
     ) {
-        let (corpus, query) = build_lake(seed, rows, key_size);
+        let (corpus, query) = build_lake(seed, rows, key_size, vocab_tables);
         let hasher = Xash::new(HashSize::B128);
         let index = IndexBuilder::new(hasher).build(&corpus);
 
@@ -95,7 +143,7 @@ proptest! {
     /// candidate evaluated ⇒ even the aggregate row counters line up).
     #[test]
     fn thread_count_equivalent_without_pruning(seed in 0u64..10_000, rows in 5usize..25) {
-        let (corpus, query) = build_lake(seed, rows, 2);
+        let (corpus, query) = build_lake(seed, rows, 2, 0);
         let hasher = Xash::new(HashSize::B128);
         let index = IndexBuilder::new(hasher).build(&corpus);
         let base = MateConfig {
