@@ -1,8 +1,8 @@
 //! Fixture tests for the analyzer rules: each rule must reject its bad
 //! snippet, accept the blessed variant, and survive the lexer edge cases
 //! (raw strings, comments, `#[cfg(test)]` regions) that broke the old
-//! awk-based scripts. The self-tests of `scripts/check_vfs.sh` and
-//! `scripts/check_obs.sh` live on here.
+//! awk-based scripts. Run the rules themselves with
+//! `cargo run -p mate-analyze -- --rule vfs|obs|panic|lock`.
 
 use mate_analyze::{run_rules, scan_source, RuleId};
 
@@ -63,7 +63,7 @@ fn obs_flags_instant_and_systemtime() {
 
 #[test]
 fn obs_flags_atomic_counter_field() {
-    // Structural check ported from check_obs.sh: a bare AtomicU64 struct
+    // Structural check from the old obs script: a bare AtomicU64 struct
     // field is an ad-hoc counter even without `AtomicU64::new(` on the line.
     let src = "struct S {\n    hits: AtomicU64,\n    pub misses: AtomicU64\n}\n";
     assert_eq!(lines(RuleId::ObsSeam, src), vec![2, 3]);

@@ -1,6 +1,6 @@
-//! Posting-codec bench: v1 vs v2 segment sizes, cold-start time, probe
-//! throughput, and block skip effectiveness — the perf trajectory of the
-//! compressed-postings work.
+//! Posting-codec bench: segment size against the fixed-width size model,
+//! cold-start time, probe throughput, and block skip effectiveness — the
+//! perf trajectory of the compressed-postings work.
 //!
 //! Emits a machine-readable `BENCH_postings.json` (path overridable via
 //! `MATE_BENCH_JSON`) next to the human-readable report. All metrics are
@@ -26,11 +26,9 @@ fn block_len(data: &bytes::Bytes, name: &str) -> usize {
 
 struct CorpusRow {
     name: String,
-    v1_bytes: usize,
-    v2_bytes: usize,
+    segment_bytes: usize,
     fixed_bytes: usize,
-    v1_posting_bytes: usize,
-    v2_posting_bytes: usize,
+    posting_bytes: usize,
     superkey_bytes: usize,
     hot_load_us: f64,
     cold_load_us: f64,
@@ -73,8 +71,7 @@ fn main() {
         ("school", &lakes.school),
     ] {
         let index = IndexBuilder::new(hasher).build(corpus);
-        let v1 = persist::index_to_bytes_v1(&index);
-        let v2 = persist::index_to_bytes(&index);
+        let seg = persist::index_to_bytes(&index);
         // The naive fixed-width representation (12 B per posting entry +
         // raw super-key words + value text): what an uncompressed segment
         // or the resident arena costs.
@@ -83,10 +80,10 @@ fn main() {
             stats.posting_bytes + stats.superkey_bytes_per_row + stats.value_arena_bytes;
 
         let t = Instant::now();
-        let hot = persist::index_from_bytes(v2.clone()).expect("hot load");
+        let hot = persist::index_from_bytes(seg.clone()).expect("hot load");
         let hot_load_us = t.elapsed().as_secs_f64() * 1e6;
         let t = Instant::now();
-        let cold = persist::cold_index_from_bytes(v2.clone()).expect("cold load");
+        let cold = persist::cold_index_from_bytes(seg.clone()).expect("cold load");
         let cold_load_us = t.elapsed().as_secs_f64() * 1e6;
         assert_eq!(hot.num_postings(), cold.num_postings());
 
@@ -134,14 +131,10 @@ fn main() {
 
         rows.push(CorpusRow {
             name: name.to_string(),
-            v1_bytes: v1.len(),
-            v2_bytes: v2.len(),
+            segment_bytes: seg.len(),
             fixed_bytes,
-            v1_posting_bytes: block_len(&v1, "index.postings"),
-            v2_posting_bytes: block_len(&v2, "index.values2")
-                + block_len(&v2, "index.postings2")
-                + block_len(&v2, "index.postings3"),
-            superkey_bytes: block_len(&v2, "index.superkeys2"),
+            posting_bytes: block_len(&seg, "index.values2") + block_len(&seg, "index.postings3"),
+            superkey_bytes: block_len(&seg, "index.superkeys2"),
             hot_load_us,
             cold_load_us,
             probe_ns_hot,
@@ -265,14 +258,12 @@ fn main() {
 
     // ---- human-readable report -----------------------------------------
     let mut report = Report::new(
-        "Posting codec: v1 vs v2 segments, cold serving",
+        "Posting codec: segment size, cold serving",
         &[
             "Corpus",
             "Fixed MB",
-            "v1 MB",
-            "v2 MB",
+            "Segment MB",
             "vs fixed",
-            "vs v1",
             "Hot load",
             "Cold load",
             "Speedup",
@@ -287,10 +278,8 @@ fn main() {
         report.row(vec![
             r.name.clone(),
             mb(r.fixed_bytes),
-            mb(r.v1_bytes),
-            mb(r.v2_bytes),
-            format!("{:.2}x", r.fixed_bytes as f64 / r.v2_bytes as f64),
-            format!("{:.2}x", r.v1_bytes as f64 / r.v2_bytes as f64),
+            mb(r.segment_bytes),
+            format!("{:.2}x", r.fixed_bytes as f64 / r.segment_bytes as f64),
             fmt_duration(std::time::Duration::from_secs_f64(r.hot_load_us / 1e6)),
             fmt_duration(std::time::Duration::from_secs_f64(r.cold_load_us / 1e6)),
             format!("{:.1}x", r.hot_load_us / r.cold_load_us.max(0.001)),
@@ -300,8 +289,8 @@ fn main() {
             r.blocks_skipped.to_string(),
         ]);
     }
-    report.note("acceptance: v2 ≥ 2x smaller than the fixed-width representation, and < v1");
-    report.note("v1 was already delta+varint coded, so the v1 ratio is the incremental win");
+    report.note("fixed-width = 12 B/posting + raw super-key words + value text");
+    report.note("acceptance: the segment is ≥ 2x smaller than the fixed-width representation");
     report.note("cold load skips posting decode entirely; probes decode per block on demand");
     report.note("single-core metrics only (bytes / per-op latency); no parallel speedup claimed");
     report.print();
@@ -342,10 +331,9 @@ fn main() {
     for (i, r) in rows.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    {{\"corpus\": \"{}\", \"fixed_width_bytes\": {}, \"v1_bytes\": {}, \
-             \"v2_bytes\": {}, \"compression_ratio_vs_fixed\": {:.4}, \
-             \"compression_ratio_vs_v1\": {:.4}, \"v1_posting_bytes\": {}, \"v2_posting_bytes\": {}, \
-             \"posting_ratio\": {:.4}, \"superkey_bytes\": {}, \"hot_load_us\": {:.1}, \
+            "    {{\"corpus\": \"{}\", \"fixed_width_bytes\": {}, \"segment_bytes\": {}, \
+             \"compression_ratio_vs_fixed\": {:.4}, \"posting_bytes\": {}, \
+             \"superkey_bytes\": {}, \"hot_load_us\": {:.1}, \
              \"cold_load_us\": {:.1}, \"cold_load_speedup\": {:.2}, \"probe_ns_hot\": {:.1}, \
              \"probe_ns_cold\": {:.1}, \"probe_p50_ns_hot\": {}, \"probe_p99_ns_hot\": {}, \
              \"probe_p50_ns_cold\": {}, \"probe_p99_ns_cold\": {}, \
@@ -353,13 +341,9 @@ fn main() {
              \"blocks_skipped\": {}}}{}",
             r.name,
             r.fixed_bytes,
-            r.v1_bytes,
-            r.v2_bytes,
-            r.fixed_bytes as f64 / r.v2_bytes as f64,
-            r.v1_bytes as f64 / r.v2_bytes as f64,
-            r.v1_posting_bytes,
-            r.v2_posting_bytes,
-            r.v1_posting_bytes as f64 / r.v2_posting_bytes.max(1) as f64,
+            r.segment_bytes,
+            r.fixed_bytes as f64 / r.segment_bytes as f64,
+            r.posting_bytes,
             r.superkey_bytes,
             r.hot_load_us,
             r.cold_load_us,

@@ -1,6 +1,6 @@
-//! Acceptance checks for the v2 segment format on a generated Zipf lake:
-//! compression, cold-mode result identity, and the serving-mode memory
-//! model. (Timing-based claims live in the `postings_codec` bench, which
+//! Acceptance checks for the segment format on a generated Zipf lake:
+//! compression against the fixed-width size model, cold-mode result
+//! identity, and the serving-mode memory model. (Timing-based claims live in the `postings_codec` bench, which
 //! reports them without asserting — CI machines are too noisy for that.)
 
 use mate_core::MateDiscovery;
@@ -15,31 +15,23 @@ fn v2_segments_meet_size_and_identity_acceptance() {
 
     for corpus in [&lakes.webtables, &lakes.opendata, &lakes.school] {
         let index = IndexBuilder::new(hasher).build(corpus);
-        let v1 = persist::index_to_bytes_v1(&index);
-        let v2 = persist::index_to_bytes(&index);
+        let seg = persist::index_to_bytes(&index);
         let stats = index.stats();
         let fixed_width =
             stats.posting_bytes + stats.superkey_bytes_per_row + stats.value_arena_bytes;
 
         // ≥ 2x smaller than the fixed-width representation (12 B/posting +
-        // raw super-key words + value text), and strictly smaller than the
-        // already-varint-compressed v1 encoding.
+        // raw super-key words + value text).
         assert!(
-            v2.len() * 2 <= fixed_width,
-            "v2 ({}) must be ≥ 2x smaller than fixed-width ({fixed_width})",
-            v2.len()
-        );
-        assert!(
-            v2.len() < v1.len(),
-            "v2 ({}) must beat v1 ({})",
-            v2.len(),
-            v1.len()
+            seg.len() * 2 <= fixed_width,
+            "segment ({}) must be ≥ 2x smaller than fixed-width ({fixed_width})",
+            seg.len()
         );
 
-        // Both loaders agree on the v2 bytes; cold mode holds no decoded
-        // posting state on the heap (zero-copy segment serving).
-        let hot = persist::index_from_bytes(v2.clone()).unwrap();
-        let cold = persist::cold_index_from_bytes(v2).unwrap();
+        // Both loaders agree on the segment bytes; cold mode holds no
+        // decoded posting state on the heap (zero-copy segment serving).
+        let hot = persist::index_from_bytes(seg.clone()).unwrap();
+        let cold = persist::cold_index_from_bytes(seg).unwrap();
         assert_eq!(hot.num_postings(), index.num_postings());
         assert_eq!(cold.num_postings(), index.num_postings());
         let cold_stats = cold.stats();

@@ -11,7 +11,9 @@
 //! [`Engine`] (fresh source per query), [`discover_snapshot`] for an owned
 //! [`EngineSnapshot`] (lock-free, immune to concurrent writes), and
 //! [`discover_lake`] for a shared [`EngineLake`] (takes the current
-//! snapshot, resolves cold runs through the lake's shared cache).
+//! snapshot, resolves cold runs through the lake's shared cache). Each
+//! returns a [`DiscoveryResult`] whose `stats.profile()` yields the query's
+//! [`QueryProfile`](mate_obs::QueryProfile) at no extra measurement cost.
 //!
 //! [`MergedSource`]: mate_index::MergedSource
 
@@ -92,26 +94,6 @@ pub fn discover_snapshot(
     result.stats.pager_hits = pager1.hits.saturating_sub(pager0.hits);
     result.stats.pager_misses = pager1.misses.saturating_sub(pager0.misses);
     result
-}
-
-/// Like [`discover_snapshot`], but also returns the query's
-/// [`QueryProfile`](mate_obs::QueryProfile): init-phase vs total time,
-/// per-worker busy time, postings probed, blocks decoded/skipped, and
-/// cache/snapshot context — everything an operator needs to explain *why*
-/// a query was slow, derived from the same [`DiscoveryStats`] the result
-/// carries (no extra measurement cost).
-///
-/// [`DiscoveryStats`]: crate::stats::DiscoveryStats
-pub fn discover_snapshot_profiled(
-    snapshot: &EngineSnapshot,
-    config: MateConfig,
-    query: &Table,
-    q_cols: &[ColId],
-    k: usize,
-) -> (DiscoveryResult, mate_obs::QueryProfile) {
-    let result = discover_snapshot(snapshot, config, query, q_cols, k);
-    let profile = result.stats.profile();
-    (result, profile)
 }
 
 /// Runs a top-k discovery over an [`EngineLake`]: clones the published
@@ -266,20 +248,18 @@ mod tests {
         assert!(p.total_us >= p.init_us);
         assert_eq!(p.worker_busy_us.len(), 1, "sequential run: one worker");
 
-        // Profiled snapshot entry point returns both halves consistently.
+        // The snapshot entry point agrees with the lake path.
         let reader = lake.reader();
-        let (res, prof) =
-            discover_snapshot_profiled(reader.snapshot(), MateConfig::default(), &query, &key, 2);
+        let res = discover_snapshot(reader.snapshot(), MateConfig::default(), &query, &key, 2);
         assert_eq!(res.top_k, r.top_k);
-        assert_eq!(prof, res.stats.profile());
 
         // A parallel run reports one busy time per worker.
         let cfg = MateConfig {
             query_threads: 3,
             ..Default::default()
         };
-        let (_, prof) = discover_snapshot_profiled(reader.snapshot(), cfg, &query, &key, 2);
-        assert_eq!(prof.worker_busy_us.len(), 3);
+        let par = discover_snapshot(reader.snapshot(), cfg, &query, &key, 2);
+        assert_eq!(par.stats.profile().worker_busy_us.len(), 3);
 
         // All query timing comes from the pluggable clock: under a manual
         // clock that never advances, elapsed is exactly zero.

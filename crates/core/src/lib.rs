@@ -30,7 +30,6 @@
 
 pub mod config;
 pub mod discovery;
-pub mod durable;
 pub mod engine_query;
 pub mod init_column;
 pub mod joinability;
@@ -40,10 +39,7 @@ pub mod topk;
 
 pub use config::{InitColumnHeuristic, MateConfig};
 pub use discovery::{DiscoveryResult, MateDiscovery, TableResult};
-pub use durable::DurableLake;
-pub use engine_query::{
-    discover_engine, discover_lake, discover_snapshot, discover_snapshot_profiled,
-};
+pub use engine_query::{discover_engine, discover_lake, discover_snapshot};
 pub use joinability::verify_table_joinability;
 pub use stats::{export_discovery_stats, DiscoveryStats, WorkerStats};
 pub use topk::TopK;

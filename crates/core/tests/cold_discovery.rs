@@ -121,7 +121,7 @@ fn cold_mode_skips_blocks_on_large_lakes() {
     let index = IndexBuilder::new(hasher).build(&corpus);
     // Small blocks force multi-block lists even on a modest lake.
     let cold =
-        persist::cold_index_from_bytes(persist::index_to_bytes_v2(&index, 16)).expect("cold load");
+        persist::cold_index_from_bytes(persist::index_to_bytes_v3(&index, 16)).expect("cold load");
     let hot = MateDiscovery::new(&corpus, &index, &hasher).discover(&query.table, &query.key, 3);
     let coldr = MateDiscovery::cold(&corpus, &cold, &hasher).discover(&query.table, &query.key, 3);
     assert_eq!(hot.top_k, coldr.top_k);

@@ -7,7 +7,7 @@
 //! column, and (with the §6.2 pruning rules) decodes only a fraction of
 //! those.
 //!
-//! [`ColdPostingStore`] serves the v2 `index.values2` / `index.postings2`
+//! [`ColdPostingStore`] serves the `index.values2` / `index.postings3`
 //! payloads through a [`SegmentSource`] — either shared [`Bytes`] slices
 //! (zero-copy out of a loaded segment, the tooling/test path) or demand-
 //! paged extents of the segment *file* through a budgeted
@@ -59,34 +59,21 @@ fn u32_at(data: &[u8], i: usize) -> u32 {
     u32::from_le_bytes(data[at..at + 4].try_into().expect("validated at open"))
 }
 
-/// The list-offset directory of a cold store, in either on-disk shape.
-///
-/// * [`ListDirectory::Flat`] — the `index.postings2` layout: one u32 offset
-///   per list plus a terminator (`(n + 1) × 4` bytes).
-/// * [`ListDirectory::Anchored`] — the `index.postings3` layout: a varint
-///   byte-*length* per list plus one `(payload offset, length-stream
-///   offset)` u32 anchor pair every `interval` lists. Random access lands on
-///   the preceding anchor and walks at most `interval - 1` varints; the
-///   directory shrinks from 4 B/list to ~1.5 B/list on real lakes.
-///
-/// Both variants are served zero-copy out of the loaded segment `Bytes`.
+/// The list-offset directory of a cold store (the `index.postings3`
+/// layout): a varint byte-*length* per list plus one `(payload offset,
+/// length-stream offset)` u32 anchor pair every `interval` lists. Random
+/// access lands on the preceding anchor and walks at most `interval - 1`
+/// varints; the directory costs ~1.5 B/list on real lakes instead of the
+/// 4 B/list of fixed-width offsets.
 #[derive(Debug, Clone)]
-pub enum ListDirectory {
-    /// Fixed-width u32 offsets (`index.postings2`).
-    Flat {
-        /// `(n + 1)` u32 LE offsets into the list payload.
-        offsets: Bytes,
-    },
-    /// Sampled anchors + varint lengths (`index.postings3`).
-    Anchored {
-        /// Varint byte-length of each list, concatenated.
-        lengths: Bytes,
-        /// Per group of `interval` lists: payload offset u32 LE, length-
-        /// stream offset u32 LE.
-        anchors: Bytes,
-        /// Lists per anchor group.
-        interval: usize,
-    },
+pub struct ListDirectory {
+    /// Varint byte-length of each list, concatenated.
+    pub lengths: Bytes,
+    /// Per group of `interval` lists: payload offset u32 LE, length-
+    /// stream offset u32 LE.
+    pub anchors: Bytes,
+    /// Lists per anchor group.
+    pub interval: usize,
 }
 
 impl ListDirectory {
@@ -96,129 +83,79 @@ impl ListDirectory {
     /// been checked, so decoding here is infallible.
     #[inline]
     fn bounds(&self, i: usize) -> (usize, usize) {
-        match self {
-            ListDirectory::Flat { offsets } => {
-                (u32_at(offsets, i) as usize, u32_at(offsets, i + 1) as usize)
-            }
-            ListDirectory::Anchored {
-                lengths,
-                anchors,
-                interval,
-            } => {
-                let group = i / interval;
-                let mut lo = u32_at(anchors, group * 2) as usize;
-                let mut rest = &lengths[u32_at(anchors, group * 2 + 1) as usize..];
-                for _ in group * interval..i {
-                    // panic-exempt: every varint in the length stream was
-                    // decoded once by the open-time validation walk.
-                    lo += varint::read_u64(&mut rest).expect("validated at open") as usize;
-                }
-                // panic-exempt: same open-time varint validation as above.
-                let len = varint::read_u64(&mut rest).expect("validated at open") as usize;
-                (lo, lo + len)
-            }
+        let group = i / self.interval;
+        let mut lo = u32_at(&self.anchors, group * 2) as usize;
+        let mut rest = &self.lengths[u32_at(&self.anchors, group * 2 + 1) as usize..];
+        for _ in group * self.interval..i {
+            // panic-exempt: every varint in the length stream was
+            // decoded once by the open-time validation walk.
+            lo += varint::read_u64(&mut rest).expect("validated at open") as usize;
         }
+        // panic-exempt: same open-time varint validation as above.
+        let len = varint::read_u64(&mut rest).expect("validated at open") as usize;
+        (lo, lo + len)
     }
 
     /// Bytes of segment payload the directory keeps mapped.
     fn mapped_bytes(&self) -> usize {
-        match self {
-            ListDirectory::Flat { offsets } => offsets.len(),
-            ListDirectory::Anchored {
-                lengths, anchors, ..
-            } => lengths.len() + anchors.len(),
-        }
+        self.lengths.len() + self.anchors.len()
     }
 
     /// Validates shape and internal consistency against `n` lists over a
-    /// payload of `payload_len` bytes: monotone in-bounds offsets for the
-    /// flat form; anchor/varint agreement and an exact total for the
-    /// anchored form.
+    /// payload of `payload_len` bytes: every anchor agrees with the varint
+    /// lengths before it, and the lengths sum exactly to the payload.
     fn validate(&self, n: usize, payload_len: usize) -> Result<(), StorageError> {
-        match self {
-            ListDirectory::Flat { offsets } => {
-                if offsets.len() != (n + 1) * 4 {
-                    return Err(StorageError::InvalidLength {
-                        context: "cold directory shape",
-                        value: offsets.len() as u64,
-                    });
-                }
-                let mut prev = 0u32;
-                for i in 0..=n {
-                    let off = u32_at(offsets, i);
-                    if off < prev || off as usize > payload_len {
-                        return Err(StorageError::InvalidLength {
-                            context: "cold list offset",
-                            value: u64::from(off),
-                        });
-                    }
-                    prev = off;
-                }
-                if u32_at(offsets, n) as usize != payload_len {
-                    return Err(StorageError::InvalidLength {
-                        context: "cold list offset",
-                        value: u64::from(prev),
-                    });
-                }
-                Ok(())
-            }
-            ListDirectory::Anchored {
-                lengths,
-                anchors,
-                interval,
-            } => {
-                if *interval == 0 {
-                    return Err(StorageError::InvalidLength {
-                        context: "cold anchor interval",
-                        value: 0,
-                    });
-                }
-                let ngroups = n.div_ceil(*interval);
-                if anchors.len() != ngroups * 8 {
-                    return Err(StorageError::InvalidLength {
-                        context: "cold directory shape",
-                        value: anchors.len() as u64,
-                    });
-                }
-                let mut rest: &[u8] = lengths;
-                let mut payload_at = 0usize;
-                for i in 0..n {
-                    if i % interval == 0 {
-                        let group = i / interval;
-                        let stream_at = lengths.len() - rest.len();
-                        if u32_at(anchors, group * 2) as usize != payload_at
-                            || u32_at(anchors, group * 2 + 1) as usize != stream_at
-                        {
-                            return Err(StorageError::InvalidLength {
-                                context: "cold list anchor",
-                                value: group as u64,
-                            });
-                        }
-                    }
-                    let len = varint::read_u64(&mut rest)? as usize;
-                    if len > payload_len - payload_at {
-                        return Err(StorageError::InvalidLength {
-                            context: "cold list length",
-                            value: len as u64,
-                        });
-                    }
-                    payload_at += len;
-                }
-                if !rest.is_empty() {
-                    return Err(StorageError::InvalidLength {
-                        context: "cold directory slack",
-                        value: rest.len() as u64,
-                    });
-                }
-                if payload_at != payload_len {
-                    return Err(StorageError::InvalidLength {
-                        context: "cold list length",
-                        value: payload_at as u64,
-                    });
-                }
-                Ok(())
-            }
+        let interval = self.interval;
+        if interval == 0 {
+            return Err(StorageError::InvalidLength {
+                context: "cold anchor interval",
+                value: 0,
+            });
         }
+        let ngroups = n.div_ceil(interval);
+        if self.anchors.len() != ngroups * 8 {
+            return Err(StorageError::InvalidLength {
+                context: "cold directory shape",
+                value: self.anchors.len() as u64,
+            });
+        }
+        let mut rest: &[u8] = &self.lengths;
+        let mut payload_at = 0usize;
+        for i in 0..n {
+            if i % interval == 0 {
+                let group = i / interval;
+                let stream_at = self.lengths.len() - rest.len();
+                if u32_at(&self.anchors, group * 2) as usize != payload_at
+                    || u32_at(&self.anchors, group * 2 + 1) as usize != stream_at
+                {
+                    return Err(StorageError::InvalidLength {
+                        context: "cold list anchor",
+                        value: group as u64,
+                    });
+                }
+            }
+            let len = varint::read_u64(&mut rest)? as usize;
+            if len > payload_len - payload_at {
+                return Err(StorageError::InvalidLength {
+                    context: "cold list length",
+                    value: len as u64,
+                });
+            }
+            payload_at += len;
+        }
+        if !rest.is_empty() {
+            return Err(StorageError::InvalidLength {
+                context: "cold directory slack",
+                value: rest.len() as u64,
+            });
+        }
+        if payload_at != payload_len {
+            return Err(StorageError::InvalidLength {
+                context: "cold list length",
+                value: payload_at as u64,
+            });
+        }
+        Ok(())
     }
 }
 
@@ -313,7 +250,7 @@ impl SegmentSource {
     }
 }
 
-/// Posting lists served directly from v2/v3 segment payloads.
+/// Posting lists served directly from segment payloads.
 #[derive(Debug, Clone)]
 pub struct ColdPostingStore {
     /// Distinct values (every one has a non-empty list).
@@ -327,15 +264,15 @@ pub struct ColdPostingStore {
     /// Byte offset of each restart point within `values` (u32 LE array).
     /// Always resident: this is the probe "page table".
     restarts: Bytes,
-    /// Where each list lives inside `lists` (either directory layout).
-    /// Always resident, like `restarts`.
+    /// Where each list lives inside `lists`. Always resident, like
+    /// `restarts`.
     dir: ListDirectory,
     /// Concatenated block-compressed lists ([`mate_storage::postings`]).
     lists: SegmentSource,
 }
 
 impl ColdPostingStore {
-    /// Assembles a store from the parsed v2 block parts, validating every
+    /// Assembles a store from the parsed block parts, validating every
     /// directory offset against its payload before anything is sliced.
     pub(crate) fn new(
         n: usize,
@@ -399,19 +336,10 @@ impl ColdPostingStore {
         lists_off: u64,
     ) -> ColdPostingStore {
         let detach = |b: &Bytes| Bytes::from(b.to_vec());
-        let dir = match &self.dir {
-            ListDirectory::Flat { offsets } => ListDirectory::Flat {
-                offsets: detach(offsets),
-            },
-            ListDirectory::Anchored {
-                lengths,
-                anchors,
-                interval,
-            } => ListDirectory::Anchored {
-                lengths: detach(lengths),
-                anchors: detach(anchors),
-                interval: *interval,
-            },
+        let dir = ListDirectory {
+            lengths: detach(&self.dir.lengths),
+            anchors: detach(&self.dir.anchors),
+            interval: self.dir.interval,
         };
         ColdPostingStore {
             n: self.n,
@@ -684,8 +612,7 @@ impl ColdPostingStore {
         matches!(self.values, SegmentSource::Paged { .. })
     }
 
-    /// Bytes of the list-offset directory alone (the `index.postings3`
-    /// satellite shrinks exactly this).
+    /// Bytes of the list-offset directory alone.
     pub fn directory_bytes(&self) -> usize {
         self.dir.mapped_bytes()
     }

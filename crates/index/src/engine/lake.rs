@@ -65,8 +65,6 @@
 //! every consumer re-validates what it reads against its own ticket — a
 //! panic between queue updates leaves conservative state (waiters wait for
 //! the next leader or rotation), never a false durability claim.
-//!
-//! [`DurableLake`]: ../../mate_core/durable/struct.DurableLake.html
 
 use super::merged::SourceCache;
 use super::ranks;

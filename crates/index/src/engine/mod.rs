@@ -49,7 +49,7 @@
 //!   zero-count claim — a **tombstone**.
 //! * **Flush** — when the memtable exceeds
 //!   [`EngineConfig::memtable_budget_bytes`], its postings are written as
-//!   an immutable segment (the standard v3 blocks plus an `engine.claims`
+//!   an immutable segment (the standard index blocks plus an `engine.claims`
 //!   block), the corpus checkpoint advances **incrementally**, the WAL
 //!   rotates to a fresh file, and the [`Manifest`] is atomically
 //!   replaced. Only then are the shards cleared. A crash at *any* byte of
@@ -1712,7 +1712,7 @@ impl Engine {
         persist::add_posting_blocks(&mut sw, &mut values, self.config.block_len);
         sw.add_block(
             "index.superkeys2",
-            persist::superkeys_block_v2(&self.superkeys),
+            persist::superkeys_block(&self.superkeys),
         );
         let mut cw = Writer::new();
         encode_claims(&claims, &mut cw);
@@ -2225,13 +2225,10 @@ impl Engine {
                 .ok_or_else(|| StorageError::MissingBlock(name.to_string()))
         };
         let present = |name: &str| blocks.iter().any(|(n, _)| n == name);
-        for required in ["index.superkeys2", "index.values2"] {
+        for required in ["index.superkeys2", "index.values2", "index.postings3"] {
             if !present(required) {
                 return Err(StorageError::MissingBlock(required.to_string()));
             }
-        }
-        if !present("index.postings3") && !present("index.postings2") {
-            return Err(StorageError::MissingBlock("index.postings2".to_string()));
         }
         let claims = decode_claims(&mut Reader::new(block("engine.claims")?))?;
         if claims != layer.claims {
@@ -2424,7 +2421,7 @@ impl Engine {
         let mut values: Vec<(&str, &[PostingEntry])> =
             merged.iter().map(|(v, pl)| (*v, pl.as_slice())).collect();
         persist::add_posting_blocks(&mut sw, &mut values, self.config.block_len);
-        sw.add_block("index.superkeys2", persist::superkeys_block_v2(&sk));
+        sw.add_block("index.superkeys2", persist::superkeys_block(&sk));
         let mut cw = Writer::new();
         encode_claims(&claims, &mut cw);
         sw.add_block("engine.claims", cw.finish());

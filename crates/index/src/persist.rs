@@ -1,29 +1,26 @@
 //! Segment-file persistence for corpora and indexes.
 //!
-//! Corpus segment blocks: `corpus.meta`, `corpus.tables` (dictionary-encoded
-//! cells). Index segments come in three posting encodings, distinguished by
-//! block name (all container versions parse with [`SegmentReader`]):
+//! Corpus segment blocks: `corpus.meta`, `corpus.dict`, `corpus.tables`
+//! (dictionary-encoded cells). Index segments carry four blocks:
 //!
-//! * **v1** — `index.postings`: per value, the value string followed by
-//!   varint triples (table delta, col, row). Readable forever; written by
-//!   [`index_to_bytes_v1`] for compatibility and size comparisons.
-//! * **v2** — `index.values2`: the sorted distinct values, front-coded with
-//!   restart points every [`VALUE_RESTART_INTERVAL`] entries plus a
-//!   fixed-width restart index; `index.postings2`: a fixed-width u32
-//!   list-offset directory over block-compressed posting lists
-//!   ([`mate_storage::postings`]). Readable; written by
-//!   [`index_to_bytes_v2`].
-//! * **v3** (default) — same value block, but the posting directory is
-//!   `index.postings3`: a varint byte-length per list plus one u32 anchor
-//!   pair per [`LIST_ANCHOR_INTERVAL`] lists (~2.5× smaller directory).
-//!   Random access lands on the preceding anchor and walks at most
-//!   `interval - 1` varints. The directories are what make the cold serving
-//!   mode possible: [`crate::cold::ColdPostingStore`] keeps these payloads
-//!   as zero-copy `Bytes` and random-accesses them without decoding.
+//! * `index.meta` — hash size, hasher name, table count;
+//! * `index.values2` — the sorted distinct values, front-coded with restart
+//!   points every [`VALUE_RESTART_INTERVAL`] entries plus a fixed-width
+//!   restart index;
+//! * `index.postings3` — block-compressed posting lists
+//!   ([`mate_storage::postings`]) behind a directory of one varint
+//!   byte-length per list plus one u32 anchor pair per
+//!   [`LIST_ANCHOR_INTERVAL`] lists. Random access lands on the preceding
+//!   anchor and walks at most `interval - 1` varints;
+//! * `index.superkeys2` — per row, the super key's set bits Rice-coded as a
+//!   sparse bitmap ([`mate_storage::bitset`]).
 //!
-//! `index.meta` is shared. Super keys are raw words in v1
-//! (`index.superkeys`) and Rice-coded sparse bitmaps in v2
-//! (`index.superkeys2`, [`mate_storage::bitset`]); readers accept either.
+//! The value and posting directories are what make the cold serving mode
+//! possible: [`crate::cold::ColdPostingStore`] keeps these payloads as
+//! zero-copy `Bytes` and random-accesses them without decoding. A segment
+//! of an older encoding lacks `index.postings3` and is rejected with
+//! [`StorageError::MissingBlock`]; a version-1 container is rejected with
+//! [`StorageError::UnsupportedVersion`].
 
 use crate::cold::{ColdIndex, ColdPostingStore, ListDirectory};
 use crate::index::InvertedIndex;
@@ -34,14 +31,14 @@ use mate_hash::HashSize;
 use mate_storage::pager::PageCache;
 use mate_storage::postings::{self, RawPosting};
 use mate_storage::{
-    varint, DictBuilder, Dictionary, IoCtx as _, Reader, SegmentReader, SegmentWriter, StdVfs,
+    DictBuilder, Dictionary, IoCtx as _, Reader, SegmentReader, SegmentWriter, StdVfs,
     StorageError, Vfs, Writer,
 };
 use mate_table::{Column, Corpus, Table, TableId};
 use std::path::Path;
 use std::sync::Arc;
 
-/// Front-coding restart interval of the v2 value dictionary.
+/// Front-coding restart interval of the `index.values2` dictionary.
 pub const VALUE_RESTART_INTERVAL: usize = 16;
 
 // ---------------------------------------------------------------- corpus --
@@ -225,23 +222,12 @@ fn index_meta_block(index: &InvertedIndex) -> Bytes {
     )
 }
 
-/// v1 super-key block: raw words per table.
-fn superkeys_block(superkeys: &SuperKeyStore) -> Bytes {
-    let mut keys = Writer::new();
-    let ntables = superkeys.num_tables();
-    keys.put_varint(ntables as u64);
-    for t in 0..ntables {
-        keys.put_u64_slice(superkeys.table_words(TableId::from(t)));
-    }
-    keys.finish()
-}
-
-/// v2 super-key block: per row, the key's set-bit positions Rice-coded
+/// `index.superkeys2` block: per row, the key's set-bit positions Rice-coded
 /// ([`mate_storage::bitset`]) — super keys are sparse (a handful of bits per
 /// cell, OR-ed per row), so this is the segment's biggest single win.
 /// `pub(crate)` because the engine's sharded flush assembles its segment
 /// blocks directly from the global super-key store.
-pub(crate) fn superkeys_block_v2(superkeys: &SuperKeyStore) -> Bytes {
+pub(crate) fn superkeys_block(superkeys: &SuperKeyStore) -> Bytes {
     let mut keys = Writer::new();
     let ntables = superkeys.num_tables();
     let wpk = superkeys.words_per_key();
@@ -258,7 +244,7 @@ pub(crate) fn superkeys_block_v2(superkeys: &SuperKeyStore) -> Bytes {
     keys.finish()
 }
 
-/// Anchor sampling interval of the v3 posting directory: one `(payload
+/// Anchor sampling interval of the `index.postings3` directory: one `(payload
 /// offset, length-stream offset)` u32 pair per this many lists. Random
 /// access walks at most `interval - 1` varint lengths past the anchor.
 pub const LIST_ANCHOR_INTERVAL: usize = 32;
@@ -326,29 +312,10 @@ fn encoded_lists(values: &[(&str, &[PostingEntry])], block_len: usize) -> (Bytes
     (lists.finish(), offsets, total_postings)
 }
 
-/// Builds the legacy `index.postings2` block: fixed-width u32 offset
-/// directory + compressed lists.
-fn postings2_block(offsets: &[u32], lists: &Bytes, total_postings: u64) -> Bytes {
-    let n = offsets.len() - 1;
-    let mut pb = Writer::with_capacity(
-        lists.len()
-            + offsets.len() * 4
-            + varint::encoded_len(n as u64)
-            + varint::encoded_len(total_postings),
-    );
-    pb.put_varint(n as u64);
-    pb.put_varint(total_postings);
-    for off in offsets {
-        pb.put_u32_le(*off);
-    }
-    pb.put_raw(lists);
-    pb.finish()
-}
-
 /// Builds the `index.postings3` block: sampled-anchor directory (varint
 /// byte-length per list + one u32 anchor pair per [`LIST_ANCHOR_INTERVAL`]
-/// lists) + compressed lists. ~2.5× smaller directory than the fixed-width
-/// u32 offsets of `index.postings2` on real lakes.
+/// lists) + compressed lists — ~1.5 B/list on real lakes against 4 B/list
+/// for fixed-width u32 offsets.
 fn postings3_block(offsets: &[u32], lists: &Bytes, total_postings: u64) -> Bytes {
     let n = offsets.len() - 1;
     let mut lengths = Writer::with_capacity(n * 2);
@@ -398,69 +365,21 @@ pub(crate) fn add_index_blocks(seg: &mut SegmentWriter, index: &InvertedIndex, b
     let mut values: Vec<(&str, &[PostingEntry])> = index.iter_values().collect();
     seg.add_block("index.meta", index_meta_block(index));
     add_posting_blocks(seg, &mut values, block_len);
-    seg.add_block("index.superkeys2", superkeys_block_v2(index.superkeys()));
+    seg.add_block("index.superkeys2", superkeys_block(index.superkeys()));
 }
 
-/// Serializes an index into segment bytes (current format: front-coded
-/// values, block-compressed posting lists behind a sampled-anchor
-/// directory). Values are written in sorted order so the output is
-/// deterministic.
+/// Serializes an index into segment bytes (front-coded values,
+/// block-compressed posting lists behind a sampled-anchor directory).
+/// Values are written in sorted order so the output is deterministic.
 pub fn index_to_bytes(index: &InvertedIndex) -> Bytes {
     index_to_bytes_v3(index, postings::DEFAULT_BLOCK_LEN)
 }
 
-/// Current-format serialization with an explicit posting block length (the
-/// bench sweeps this; [`index_to_bytes`] uses
-/// [`postings::DEFAULT_BLOCK_LEN`]).
+/// [`index_to_bytes`] with an explicit posting block length (the bench
+/// sweeps this; [`index_to_bytes`] uses [`postings::DEFAULT_BLOCK_LEN`]).
 pub fn index_to_bytes_v3(index: &InvertedIndex, block_len: usize) -> Bytes {
     let mut seg = SegmentWriter::new();
     add_index_blocks(&mut seg, index, block_len);
-    seg.finish()
-}
-
-/// v2 serialization (fixed-width u32 list-offset directory) — kept for
-/// old-segment reader coverage and the codec bench's directory-size
-/// comparison; [`index_to_bytes`] now writes the v3 directory.
-pub fn index_to_bytes_v2(index: &InvertedIndex, block_len: usize) -> Bytes {
-    let mut values: Vec<(&str, &[PostingEntry])> = index.iter_values().collect();
-    values.sort_unstable_by_key(|(v, _)| *v);
-    let (lists, offsets, total_postings) = encoded_lists(&values, block_len);
-    let mut seg = SegmentWriter::new();
-    seg.add_block("index.meta", index_meta_block(index));
-    seg.add_block("index.values2", values2_block(&values));
-    seg.add_block(
-        "index.postings2",
-        postings2_block(&offsets, &lists, total_postings),
-    );
-    seg.add_block("index.superkeys2", superkeys_block_v2(index.superkeys()));
-    seg.finish()
-}
-
-/// Serializes an index in the legacy v1 posting encoding (varint triples,
-/// value strings inline) — kept for migration tests and the codec bench's
-/// size comparison.
-pub fn index_to_bytes_v1(index: &InvertedIndex) -> Bytes {
-    let mut values: Vec<(&str, &[PostingEntry])> = index.iter_values().collect();
-    values.sort_unstable_by_key(|(v, _)| *v);
-
-    let mut posting_block = Writer::new();
-    posting_block.put_varint(values.len() as u64);
-    for (value, pl) in values {
-        posting_block.put_str(value);
-        posting_block.put_varint(pl.len() as u64);
-        let mut prev_table = 0u32;
-        for e in pl {
-            posting_block.put_varint_u32(e.table.0 - prev_table);
-            prev_table = e.table.0;
-            posting_block.put_varint_u32(e.col.0);
-            posting_block.put_varint_u32(e.row.0);
-        }
-    }
-
-    let mut seg = SegmentWriter::new();
-    seg.add_block("index.meta", index_meta_block(index));
-    seg.add_block("index.postings", posting_block.finish());
-    seg.add_block("index.superkeys", superkeys_block(index.superkeys()));
     seg.finish()
 }
 
@@ -476,62 +395,38 @@ pub(crate) fn read_meta(seg: &SegmentReader) -> Result<(HashSize, String), Stora
     Ok((size, hasher_name))
 }
 
-/// Loads the super-key block (either encoding) into `superkeys`.
+/// Loads the `index.superkeys2` block into `superkeys`.
 pub(crate) fn read_superkeys(
     seg: &SegmentReader,
     size: HashSize,
     superkeys: &mut SuperKeyStore,
 ) -> Result<(), StorageError> {
-    if seg.block_names().contains(&"index.superkeys2") {
-        let mut kr = Reader::new(seg.block("index.superkeys2")?);
-        let ntables = kr.get_varint()? as usize;
-        let wpk = size.words();
-        let mut key = vec![0u64; wpk];
-        for _ in 0..ntables {
-            let nrows = kr.get_varint()? as usize;
-            // Each key costs ≥ 1 byte, so a count beyond the remaining
-            // bytes is corrupt — reject before allocating for it.
-            if nrows > kr.remaining() {
-                return Err(StorageError::InvalidLength {
-                    context: "superkey row count",
-                    value: nrows as u64,
-                });
-            }
-            let mut words = Vec::with_capacity(nrows * wpk);
-            for _ in 0..nrows {
-                mate_storage::bitset::decode_bitmap(&mut kr, &mut key)?;
-                words.extend_from_slice(&key);
-            }
-            let tid = superkeys.push_table(0);
-            superkeys.set_table_words(tid, words);
-        }
-        return Ok(());
-    }
-    let mut kr = Reader::new(seg.block("index.superkeys")?);
+    let mut kr = Reader::new(seg.block("index.superkeys2")?);
     let ntables = kr.get_varint()? as usize;
-    for t in 0..ntables {
-        let words = kr.get_u64_slice()?;
-        if words.len() % size.words() != 0 {
+    let wpk = size.words();
+    let mut key = vec![0u64; wpk];
+    for _ in 0..ntables {
+        let nrows = kr.get_varint()? as usize;
+        // Each key costs ≥ 1 byte, so a count beyond the remaining
+        // bytes is corrupt — reject before allocating for it.
+        if nrows > kr.remaining() {
             return Err(StorageError::InvalidLength {
-                context: "superkey payload",
-                value: words.len() as u64,
+                context: "superkey row count",
+                value: nrows as u64,
             });
         }
+        let mut words = Vec::with_capacity(nrows * wpk);
+        for _ in 0..nrows {
+            mate_storage::bitset::decode_bitmap(&mut kr, &mut key)?;
+            words.extend_from_slice(&key);
+        }
         let tid = superkeys.push_table(0);
-        debug_assert_eq!(tid.index(), t);
         superkeys.set_table_words(tid, words);
     }
     Ok(())
 }
 
-/// Whether a segment carries cold-servable posting blocks (either
-/// directory layout).
-pub(crate) fn has_cold_postings(seg: &SegmentReader) -> bool {
-    let names = seg.block_names();
-    names.contains(&"index.postings3") || names.contains(&"index.postings2")
-}
-
-/// Parses the v2/v3 value/posting blocks into a [`ColdPostingStore`],
+/// Parses the value/posting blocks into a [`ColdPostingStore`],
 /// validating the directories (zero-copy: the returned store shares the
 /// segment's `Bytes`).
 pub(crate) fn read_cold_store(seg: &SegmentReader) -> Result<ColdPostingStore, StorageError> {
@@ -550,21 +445,19 @@ pub(crate) fn read_cold_store_paged(
 ) -> Result<ColdPostingStore, StorageError> {
     let (store, values_in, lists_in) = read_cold_store_parts(seg)?;
     let values_off = seg.block_offset("index.values2")? + values_in;
-    let pname = if seg.block_names().contains(&"index.postings3") {
-        "index.postings3"
-    } else {
-        "index.postings2"
-    };
-    let lists_off = seg.block_offset(pname)? + lists_in;
+    let lists_off = seg.block_offset("index.postings3")? + lists_in;
     Ok(store.into_paged(Arc::clone(cache), segment_id, values_off, lists_off))
 }
 
 /// Core cold-store parse; also returns the byte offsets of the value
-/// stream within `index.values2` and of the list payload within the
-/// postings block, so a paged caller can resolve them to file extents.
+/// stream within `index.values2` and of the list payload within
+/// `index.postings3`, so a paged caller can resolve them to file extents.
 fn read_cold_store_parts(
     seg: &SegmentReader,
 ) -> Result<(ColdPostingStore, u64, u64), StorageError> {
+    // The posting block first: a segment of an older encoding lacks it and
+    // is reported as missing `index.postings3`.
+    let pblock = seg.block("index.postings3")?;
     let vblock = seg.block("index.values2")?;
     let vblock_len = vblock.len();
     let mut vr = Reader::new(vblock);
@@ -597,19 +490,13 @@ fn read_cold_store_parts(
     let values = vr.get_raw(stream_len)?;
     let restarts = vr.get_raw(n.div_ceil(restart_interval) * 4)?;
     if !vr.is_exhausted() {
-        // Strict like every other v2 payload: no smuggled trailing bytes.
+        // Strict like every other payload: no smuggled trailing bytes.
         return Err(StorageError::InvalidLength {
             context: "value block slack",
             value: vr.remaining() as u64,
         });
     }
 
-    let v3 = seg.block_names().contains(&"index.postings3");
-    let pblock = seg.block(if v3 {
-        "index.postings3"
-    } else {
-        "index.postings2"
-    })?;
     let pblock_len = pblock.len();
     let mut pr = Reader::new(pblock);
     let pn = pr.get_varint()? as usize;
@@ -620,50 +507,35 @@ fn read_cold_store_parts(
         });
     }
     let total_postings = pr.get_varint()? as usize;
-    let (dir, lists) = if v3 {
-        let interval = pr.get_varint()? as usize;
-        if interval == 0 || interval > 1 << 16 {
-            return Err(StorageError::InvalidLength {
-                context: "cold anchor interval",
-                value: interval as u64,
-            });
-        }
-        let lengths_len = pr.get_varint()? as usize;
-        if lengths_len > pr.remaining() {
-            return Err(StorageError::InvalidLength {
-                context: "cold directory shape",
-                value: lengths_len as u64,
-            });
-        }
-        let lengths = pr.get_raw(lengths_len)?;
-        // Each list costs ≥ 1 length byte, so `n` is bounded by the stream
-        // we just sliced — the anchor-count math below cannot overflow.
-        if n > lengths.len() && n > 0 {
-            return Err(StorageError::InvalidLength {
-                context: "posting directory count",
-                value: n as u64,
-            });
-        }
-        let anchors = pr.get_raw(n.div_ceil(interval) * 8)?;
-        let lists = pr.get_raw(pr.remaining())?;
-        (
-            ListDirectory::Anchored {
-                lengths,
-                anchors,
-                interval,
-            },
-            lists,
-        )
-    } else {
-        if n >= pr.remaining() / 4 {
-            return Err(StorageError::InvalidLength {
-                context: "posting directory count",
-                value: n as u64,
-            });
-        }
-        let offsets = pr.get_raw((n + 1) * 4)?;
-        let lists = pr.get_raw(pr.remaining())?;
-        (ListDirectory::Flat { offsets }, lists)
+    let interval = pr.get_varint()? as usize;
+    if interval == 0 || interval > 1 << 16 {
+        return Err(StorageError::InvalidLength {
+            context: "cold anchor interval",
+            value: interval as u64,
+        });
+    }
+    let lengths_len = pr.get_varint()? as usize;
+    if lengths_len > pr.remaining() {
+        return Err(StorageError::InvalidLength {
+            context: "cold directory shape",
+            value: lengths_len as u64,
+        });
+    }
+    let lengths = pr.get_raw(lengths_len)?;
+    // Each list costs ≥ 1 length byte, so `n` is bounded by the stream we
+    // just sliced — the anchor-count math below cannot overflow.
+    if n > lengths.len() && n > 0 {
+        return Err(StorageError::InvalidLength {
+            context: "posting directory count",
+            value: n as u64,
+        });
+    }
+    let anchors = pr.get_raw(n.div_ceil(interval) * 8)?;
+    let lists = pr.get_raw(pr.remaining())?;
+    let dir = ListDirectory {
+        lengths,
+        anchors,
+        interval,
     };
     let lists_in_block = (pblock_len - lists.len()) as u64;
     let store = ColdPostingStore::new(
@@ -678,60 +550,24 @@ fn read_cold_store_parts(
     Ok((store, values_in_block, lists_in_block))
 }
 
-/// Deserializes an index from segment bytes into the hot in-memory form.
-/// Both posting encodings load transparently (the v2 path decodes every
-/// list — use [`cold_index_from_bytes`] to skip that).
+/// Deserializes an index from segment bytes into the hot in-memory form,
+/// decoding every list (use [`cold_index_from_bytes`] to skip that).
 pub fn index_from_bytes(data: Bytes) -> Result<InvertedIndex, StorageError> {
     let seg = SegmentReader::open(data)?;
     let (size, hasher_name) = read_meta(&seg)?;
     let mut index = InvertedIndex::empty(size, hasher_name);
-
-    if has_cold_postings(&seg) {
-        let cold = read_cold_store(&seg)?;
-        for (value, pl) in cold.iter_decoded() {
-            let vid = index.store.intern(&value);
-            index.store.load_list(vid, &pl);
-        }
-    } else {
-        let mut r = Reader::new(seg.block("index.postings")?);
-        let nvalues = r.get_varint()? as usize;
-        let mut pl = Vec::new();
-        for _ in 0..nvalues {
-            let value = r.get_str()?;
-            let n = r.get_varint()? as usize;
-            pl.clear();
-            pl.reserve(n);
-            let mut prev_table = 0u32;
-            for _ in 0..n {
-                let table = prev_table.checked_add(r.get_varint_u32()?).ok_or(
-                    StorageError::InvalidLength {
-                        context: "posting id",
-                        value: u64::from(prev_table),
-                    },
-                )?;
-                prev_table = table;
-                let col = r.get_varint_u32()?;
-                let row = r.get_varint_u32()?;
-                pl.push(PostingEntry::new(table, col, row));
-            }
-            let vid = index.store.intern(&value);
-            index.store.load_list(vid, &pl);
-        }
+    for (value, pl) in read_cold_store(&seg)?.iter_decoded() {
+        let vid = index.store.intern(&value);
+        index.store.load_list(vid, &pl);
     }
-
     read_superkeys(&seg, size, &mut index.superkeys)?;
     Ok(index)
 }
 
-/// Opens a v2/v3 segment in cold serving mode: posting lists stay
-/// compressed and are decoded per probe; only super keys are materialized.
-/// v1 segments do not carry the required directories — migrate by loading
-/// hot and re-saving (which writes v3).
+/// Opens a segment in cold serving mode: posting lists stay compressed
+/// and are decoded per probe; only super keys are materialized.
 pub fn cold_index_from_bytes(data: Bytes) -> Result<ColdIndex, StorageError> {
     let seg = SegmentReader::open(data)?;
-    if !has_cold_postings(&seg) {
-        return Err(StorageError::MissingBlock("index.postings3".to_string()));
-    }
     let (size, hasher_name) = read_meta(&seg)?;
     let store = read_cold_store(&seg)?;
     let mut superkeys = SuperKeyStore::new(size);
@@ -752,7 +588,7 @@ pub fn load_index(path: impl AsRef<Path>) -> Result<InvertedIndex, StorageError>
     ))
 }
 
-/// Loads a v2 index segment in cold serving mode (see
+/// Loads an index segment in cold serving mode (see
 /// [`cold_index_from_bytes`]).
 pub fn load_index_cold(path: impl AsRef<Path>) -> Result<ColdIndex, StorageError> {
     let path = path.as_ref();
@@ -859,7 +695,7 @@ mod tests {
         // a segment whose blocks checksum correctly but whose *content* lies
         // (bad front-coding lengths, non-UTF-8, bogus counts) must come back
         // as a structured error from the open-time validation walk.
-        let make_seg = |values2: Vec<u8>, postings2: Vec<u8>| {
+        let make_seg = |values2: Vec<u8>, postings3: Bytes| {
             let mut meta = Writer::new();
             meta.put_varint(128);
             meta.put_str("Xash");
@@ -869,7 +705,7 @@ mod tests {
             let mut seg = SegmentWriter::new();
             seg.add_block("index.meta", meta.finish());
             seg.add_block("index.values2", Bytes::from(values2));
-            seg.add_block("index.postings2", Bytes::from(postings2));
+            seg.add_block("index.postings3", postings3);
             seg.add_block("index.superkeys2", keys.finish());
             seg.finish()
         };
@@ -885,15 +721,7 @@ mod tests {
                 lists.put_varint(0);
             }
             offs.push(lists.len() as u32);
-            let lists = lists.finish();
-            let mut pb = Writer::new();
-            pb.put_varint(n);
-            pb.put_varint(n); // total postings
-            for o in offs {
-                pb.put_u32_le(o);
-            }
-            pb.put_raw(&lists);
-            pb.finish().to_vec()
+            postings3_block(&offs, &lists.finish(), n)
         };
         // (a) value-length varint runs past the stream.
         let mut v = Writer::new();
@@ -956,21 +784,50 @@ mod tests {
     }
 
     #[test]
-    fn v3_and_v2_directories_serve_identical_content() {
-        let idx = wide_index();
-        let v3 = index_to_bytes_v3(&idx, 16);
-        let v2 = index_to_bytes_v2(&idx, 16);
-        let cold3 = cold_index_from_bytes(v3.clone()).unwrap();
-        let cold2 = cold_index_from_bytes(v2).unwrap();
-        assert_eq!(cold3.num_values(), cold2.num_values());
-        assert_eq!(cold3.num_postings(), cold2.num_postings());
-        let decoded3: Vec<_> = cold3.store().iter_decoded().collect();
-        let decoded2: Vec<_> = cold2.store().iter_decoded().collect();
-        assert_eq!(decoded3, decoded2);
-        // Hot loading agrees too.
-        let hot = index_from_bytes(v3).unwrap();
-        for (v, pl) in idx.iter_values() {
-            assert_eq!(hot.posting_list(v), Some(pl));
+    fn legacy_encodings_rejected() {
+        // Segments of the retired encodings, built by hand: each must come
+        // back as a typed error from both loaders, never a partial index.
+        let bytes = index_to_bytes(&wide_index());
+        let current = SegmentReader::open(bytes.clone()).unwrap();
+        let block = |name: &str| current.block(name).unwrap();
+        let load_errors = |seg: Bytes| {
+            [
+                index_from_bytes(seg.clone()).err(),
+                cold_index_from_bytes(seg).err(),
+            ]
+        };
+        let mut v1_postings = Writer::new();
+        v1_postings.put_varint(1); // one value
+        v1_postings.put_str("foo");
+        v1_postings.put_varint(1); // one (table delta, col, row) triple
+        v1_postings.put_raw(&[0, 0, 0]);
+        let mut v1_keys = Writer::new();
+        v1_keys.put_varint(1); // one table of raw words
+        v1_keys.put_u64_slice(&[1, 0]);
+        let mut v1 = SegmentWriter::new();
+        v1.add_block("index.meta", block("index.meta"));
+        v1.add_block("index.postings", v1_postings.finish());
+        v1.add_block("index.superkeys", v1_keys.finish());
+        let mut v2 = SegmentWriter::new();
+        for name in ["index.meta", "index.values2", "index.superkeys2"] {
+            v2.add_block(name, block(name));
+        }
+        v2.add_block("index.postings2", Bytes::from_static(&[0, 0, 0, 0, 0, 0]));
+        for legacy in [v1.finish(), v2.finish()] {
+            for err in load_errors(legacy) {
+                assert!(
+                    matches!(&err, Some(StorageError::MissingBlock(b)) if b == "index.postings3"),
+                    "{err:?}"
+                );
+            }
+        }
+        let mut v1_container = bytes.to_vec();
+        v1_container[8] = 1; // container version LE byte 0
+        for err in load_errors(Bytes::from(v1_container)) {
+            assert!(
+                matches!(err, Some(StorageError::UnsupportedVersion(1))),
+                "{err:?}"
+            );
         }
     }
 
@@ -993,7 +850,6 @@ mod tests {
         let bytes = index_to_bytes(&idx);
         let seg = SegmentReader::open(bytes.clone()).unwrap();
         assert!(seg.block_names().contains(&"index.postings3"));
-        assert!(!seg.block_names().contains(&"index.postings2"));
         // Probe every value out of order so bounds() exercises anchor walks
         // at every in-group position, including across group boundaries.
         let cold = cold_index_from_bytes(bytes).unwrap();

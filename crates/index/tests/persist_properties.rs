@@ -77,31 +77,6 @@ proptest! {
         let _ = persist::corpus_from_bytes(bytes::Bytes::from(data));
     }
 
-    /// v1 → v2 migration round-trip: loading a legacy v1 segment and
-    /// re-saving (which writes v2) preserves every list and super key.
-    #[test]
-    fn v1_to_v2_migration_roundtrip(corpus in corpus_strategy()) {
-        let hasher = Xash::new(HashSize::B128);
-        let index = IndexBuilder::new(hasher).build(&corpus);
-        let v1 = persist::index_to_bytes_v1(&index);
-        let from_v1 = persist::index_from_bytes(v1).unwrap();
-        let v2 = persist::index_to_bytes(&from_v1);
-        let from_v2 = persist::index_from_bytes(v2).unwrap();
-        prop_assert_eq!(index.num_values(), from_v2.num_values());
-        prop_assert_eq!(index.num_postings(), from_v2.num_postings());
-        for (v, pl) in index.iter_values() {
-            prop_assert_eq!(from_v2.posting_list(v), Some(pl));
-        }
-        for (tid, t) in corpus.iter() {
-            for r in 0..t.num_rows() {
-                prop_assert_eq!(
-                    index.superkey(tid, RowId::from(r)),
-                    from_v2.superkey(tid, RowId::from(r))
-                );
-            }
-        }
-    }
-
     /// The cold store serves exactly the flat store's content: every value
     /// resolves to an identical list (via full decode and via ranged
     /// probes), and unknown values miss.

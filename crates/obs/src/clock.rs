@@ -2,7 +2,8 @@
 //!
 //! This module is the one place in the workspace allowed to call
 //! `std::time::Instant::now()` for observability timing (enforced by
-//! `scripts/check_obs.sh`); everything else reads time through [`Clock`].
+//! `cargo run -p mate-analyze -- --rule obs`); everything else reads time
+//! through [`Clock`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;

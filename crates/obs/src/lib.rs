@@ -18,8 +18,8 @@
 //!   disabled, a span is a `None` guard — no clock read, no allocation,
 //!   no lock.
 //! * **Per-query profiles** ([`QueryProfile`]) — a flat summary of where
-//!   one discovery query spent its time, filled by the engine's
-//!   `discover_snapshot_profiled` path.
+//!   one discovery query spent its time, condensed from a discovery
+//!   result's stats by `DiscoveryStats::profile()`.
 //! * **Export** — [`Obs::snapshot`] freezes every registered metric plus
 //!   the event log into an [`ObsSnapshot`], renderable as machine-readable
 //!   JSON ([`ObsSnapshot::to_json`], re-parseable with [`json::parse`])

@@ -1,8 +1,8 @@
 //! Block-compressed posting lists with skip headers (segment format v2).
 //!
-//! A posting list is a `(table, col, row)` sequence sorted ascending. The v1
-//! encoding wrote one varint triple per entry; this module packs lists the
-//! way IR systems store inverted files:
+//! A posting list is a `(table, col, row)` sequence sorted ascending. A
+//! plain encoding writes one varint triple per entry; this module packs
+//! lists the way IR systems store inverted files:
 //!
 //! * **Inline lists** (≤ [`INLINE_MAX`] entries): varint triples with the
 //!   table id delta-encoded — block machinery would cost more than it saves

@@ -43,15 +43,13 @@ fn block_crc(name: &str, payload: &[u8]) -> u32 {
     c.write(payload);
     c.finish()
 }
-/// Current format version (written by [`SegmentWriter`]).
+/// The format version [`SegmentWriter`] writes and the only one
+/// [`SegmentReader`] and [`verify_segment_file`] accept.
 ///
 /// Version 2 introduced the block-compressed posting-list payloads (see
-/// [`crate::postings`]); the container layout itself is unchanged, and
-/// readers accept both versions — v1 segments stay readable behind this tag.
+/// [`crate::postings`]); a version-1 container predates them and is
+/// rejected with [`StorageError::UnsupportedVersion`].
 pub const FORMAT_VERSION: u32 = 2;
-
-/// Oldest format version [`SegmentReader`] still accepts.
-pub const MIN_FORMAT_VERSION: u32 = 1;
 
 /// Accumulates named blocks and serializes them into a segment.
 #[derive(Debug, Default)]
@@ -106,7 +104,6 @@ impl SegmentWriter {
 /// Parses a segment and provides checked access to its blocks.
 #[derive(Debug)]
 pub struct SegmentReader {
-    version: u32,
     /// Per block: name, stored CRC, payload, payload's byte offset in the
     /// original buffer/file (for paged extent reads).
     blocks: Vec<(String, u32, Bytes, usize)>,
@@ -125,7 +122,7 @@ impl SegmentReader {
             return Err(StorageError::BadMagic);
         }
         let version = r.get_u32_le()?;
-        if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
+        if version != FORMAT_VERSION {
             return Err(StorageError::UnsupportedVersion(version));
         }
         let n = r.get_varint()? as usize;
@@ -148,12 +145,7 @@ impl SegmentReader {
             let payload = r.get_raw(len)?;
             blocks.push((name, crc, payload, offset));
         }
-        Ok(SegmentReader { version, blocks })
-    }
-
-    /// Format version the segment was written with.
-    pub fn version(&self) -> u32 {
-        self.version
+        Ok(SegmentReader { blocks })
     }
 
     /// Reads and parses a segment from a file through the [`Vfs`] seam
@@ -226,7 +218,7 @@ pub fn verify_segment_file(
         return Err(StorageError::BadMagic);
     }
     let version = r.get_u32_le()?;
-    if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
+    if version != FORMAT_VERSION {
         return Err(StorageError::UnsupportedVersion(version));
     }
     let n = r.get_varint()? as usize;
@@ -337,12 +329,22 @@ mod tests {
     }
 
     #[test]
-    fn v1_container_still_readable() {
+    fn v1_container_rejected() {
         let mut raw = sample_segment().to_vec();
         raw[8] = 1; // version LE byte 0 → a v1-era file
-        let seg = SegmentReader::open(Bytes::from(raw)).unwrap();
-        assert_eq!(seg.version(), 1);
-        assert_eq!(seg.block("meta").unwrap().as_ref(), b"hello");
+        assert!(matches!(
+            SegmentReader::open(Bytes::from(raw.clone())),
+            Err(StorageError::UnsupportedVersion(1))
+        ));
+        let dir = std::env::temp_dir().join(format!("mate-seg-v1-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("seg.bin");
+        std::fs::write(&path, &raw).unwrap();
+        assert!(matches!(
+            verify_segment_file(&crate::vfs::StdVfs, &path, 64, &[]),
+            Err(StorageError::UnsupportedVersion(1))
+        ));
+        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]

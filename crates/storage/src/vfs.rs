@@ -28,7 +28,7 @@
 //! create/sync/list.
 //! Anything outside this surface inside `crates/{index,storage}/src` is
 //! either test code or carries a `// vfs-exempt:` comment (enforced by
-//! `scripts/check_vfs.sh`).
+//! `cargo run -p mate-analyze -- --rule vfs`).
 
 use std::fmt;
 use std::io::{self, Read as _, Seek as _};

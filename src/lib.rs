@@ -78,8 +78,7 @@ pub use mate_table as table;
 pub mod prelude {
     pub use mate_baselines::{McrDiscovery, ScrDiscovery};
     pub use mate_core::{
-        DiscoveryResult, DiscoveryStats, DurableLake, InitColumnHeuristic, MateConfig,
-        MateDiscovery,
+        DiscoveryResult, DiscoveryStats, InitColumnHeuristic, MateConfig, MateDiscovery,
     };
     pub use mate_hash::{BloomFilterHasher, HashSize, RowHasher, Xash, XashVariant};
     pub use mate_index::{IndexBuilder, InvertedIndex};
