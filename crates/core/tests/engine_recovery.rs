@@ -8,7 +8,7 @@
 //! discovery-bit-identical to an engine that was never killed.
 
 use mate_core::{discover_engine, MateConfig};
-use mate_index::engine::{Engine, EngineConfig, EngineError};
+use mate_index::engine::{Engine, EngineConfig, EngineError, EngineLake};
 use mate_index::WalRecord;
 use mate_lake::{CorpusProfile, GeneratedQuery, LakeGenerator, LakeSpec, QuerySpec};
 use mate_storage::FaultVfs;
@@ -670,4 +670,148 @@ fn fault_sweep_bitflip_on_every_recovery_read() {
         "at least one flip must land in CRC-protected bytes and be rejected"
     );
     std::fs::remove_dir_all(base).ok();
+}
+
+// ------------------------------------------------------------------------
+// Keep-writing sweeps: a flush or a compaction that fails at any I/O op
+// must leave the engine both writable and consistent with the manifest on
+// disk. A record acknowledged *after* the failed maintenance call, on the
+// same engine, must survive a reopen.
+// ------------------------------------------------------------------------
+
+/// The maintenance call a keep-writing run puts the fault under.
+#[derive(Clone, Copy, Debug)]
+enum Maintenance {
+    Flush,
+    Compact,
+}
+
+/// The engine-or-lake handle of one keep-writing run.
+enum Handle {
+    /// The single-threaded [`Engine`].
+    Engine(Box<Engine>),
+    /// The concurrent [`EngineLake`], whose `flush` and `compact` report
+    /// an error without poisoning the lake.
+    Lake(Box<EngineLake>),
+}
+
+impl Handle {
+    fn apply(&mut self, r: WalRecord) -> Result<(), EngineError> {
+        match self {
+            Handle::Engine(e) => e.apply(r),
+            Handle::Lake(l) => l.apply(r),
+        }
+    }
+
+    fn flush(&mut self) -> Result<bool, EngineError> {
+        match self {
+            Handle::Engine(e) => e.flush(),
+            Handle::Lake(l) => l.flush(),
+        }
+    }
+
+    fn compact(&mut self) -> Result<usize, EngineError> {
+        match self {
+            Handle::Engine(e) => e.compact(),
+            Handle::Lake(l) => l.compact(),
+        }
+    }
+}
+
+/// For every N and each maintenance call: build an engine holding two
+/// cold segments and a non-empty memtable, arm `fail_nth(N)`, run the
+/// call, then `apply` one extra record on the same engine. The extra is a
+/// copy of a planted joinable table, so losing it moves discovery, not
+/// just the corpus. Reopen on a clean vfs: an acknowledged extra must be
+/// present, and the recovered engine must be discovery-bit-identical to
+/// the never-faulted control holding the same records.
+fn run_keep_writing_sweep(tag: &str, lake: bool) {
+    let (records, query) = lake_workload(71);
+    let base = tmpdir(tag);
+    std::fs::create_dir_all(&base).unwrap();
+    let extra = match &records[query.planted_tables[0].index()] {
+        WalRecord::InsertTable { table } => {
+            let mut table = table.clone();
+            table.name = "extra".to_string();
+            WalRecord::InsertTable { table }
+        }
+        _ => unreachable!("the workload inserts every table first"),
+    };
+    // controls[0] holds the workload, controls[1] the workload + extra.
+    let controls: Vec<Engine> = (0..2)
+        .map(|with_extra| {
+            let dir = base.join(format!("control{with_extra}"));
+            let mut c = Engine::create(dir, config(1 << 30)).unwrap();
+            for r in records.iter().chain((with_extra == 1).then_some(&extra)) {
+                c.apply(r.clone()).unwrap();
+            }
+            c
+        })
+        .collect();
+    let control_states: Vec<StateSnapshot> = controls.iter().map(state_snapshot).collect();
+
+    let flush_after = [records.len() / 3, 2 * records.len() / 3];
+    for step in [Maintenance::Flush, Maintenance::Compact] {
+        let mut n = 0u64;
+        loop {
+            n += 1;
+            let dir = base.join(format!("{step:?}-n{n}"));
+            let fault = Arc::new(FaultVfs::new());
+            let cfg = EngineConfig {
+                vfs: Arc::new(Arc::clone(&fault)),
+                ..config(1 << 30)
+            };
+            let mut h = if lake {
+                Handle::Lake(Box::new(EngineLake::create(&dir, cfg).unwrap()))
+            } else {
+                Handle::Engine(Box::new(Engine::create(&dir, cfg).unwrap()))
+            };
+            for (i, r) in records.iter().enumerate() {
+                h.apply(r.clone()).unwrap();
+                if flush_after.contains(&(i + 1)) {
+                    h.flush().unwrap();
+                }
+            }
+            fault.fail_nth(n);
+            let outcome = match step {
+                Maintenance::Flush => h.flush().map(|_| ()),
+                Maintenance::Compact => h.compact().map(|n| assert!(n >= 2, "stack of >= 2")),
+            };
+            let acked = h.apply(extra.clone()).is_ok();
+            drop(h);
+            let fired = fault.injected() > 0;
+
+            let reopened = Engine::open(&dir, config(1 << 30))
+                .unwrap_or_else(|e| panic!("{step:?} op {n}: reopen on a clean vfs failed: {e}"));
+            let snap = state_snapshot(&reopened);
+            let with_extra = (0..2)
+                .find(|&k| control_states[k] == snap)
+                .unwrap_or_else(|| panic!("{step:?} op {n}: recovered state matches no control"));
+            assert!(
+                !acked || with_extra == 1,
+                "{step:?} op {n}: acknowledged record lost on reopen \
+                 (maintenance outcome: {outcome:?})"
+            );
+            assert_engines_identical(&reopened, &controls[with_extra], &query);
+            drop(reopened);
+            std::fs::remove_dir_all(&dir).ok();
+            if !fired {
+                outcome.expect("no fault fired; the maintenance call must succeed");
+                assert!(acked, "fault-free run must acknowledge the extra");
+                assert!(n > 10, "{step:?} sweep ended after only {n} ops");
+                break;
+            }
+        }
+    }
+    std::fs::remove_dir_all(base).ok();
+}
+
+#[test]
+fn fault_sweep_keep_writing_after_failed_flush_or_compact() {
+    run_keep_writing_sweep("keep-engine", false);
+}
+
+#[test]
+fn fault_sweep_keep_writing_after_failed_lake_flush_or_compact() {
+    run_keep_writing_sweep("keep-lake", true);
 }

@@ -9,14 +9,15 @@
 //! and requires exactly that.
 
 use mate_core::{discover_engine, MateConfig};
-use mate_index::engine::{Engine, EngineConfig, EngineLake};
+use mate_index::engine::{Engine, EngineConfig, EngineError, EngineLake};
 use mate_index::WalRecord;
 use mate_lake::{CorpusProfile, GeneratedQuery, LakeGenerator, LakeSpec, QuerySpec};
+use mate_storage::FaultVfs;
 use mate_table::{ColId, Corpus, RowId, TableId};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("mate-engine-scrub-{tag}-{}", std::process::id()));
@@ -358,5 +359,108 @@ fn lake_scrub_heals_and_reports_counters() {
     // Reads through the healed lake match the never-corrupted control.
     let engine = lake.into_engine();
     assert_engines_identical(&engine, &control, &query);
+    std::fs::remove_dir_all(base).ok();
+}
+
+/// Flips one byte in the middle of `path` (on disk, behind the engine).
+fn corrupt_middle_byte(path: &Path) {
+    let mut bytes = std::fs::read(path).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x10;
+    std::fs::write(path, &bytes).unwrap();
+}
+
+/// Faults under scrub's own commits. With one cold segment and one
+/// `cdelta-*` file corrupted on disk, a scrub must heal the checkpoint
+/// chain (a forced-full flush while the memtable holds tables, a direct
+/// checkpoint write when it is empty) and rebuild the segment. Fail the
+/// Nth I/O op of that scrub, for every N: the call never panics and any
+/// error is typed. An engine that did not degrade heals on a fault-free
+/// second scrub and reopens bit-identical to the control; a degraded one
+/// still serves reads bit-identical to the control.
+#[test]
+fn fault_sweep_over_scrub_heal_and_rebuild() {
+    let (records, query) = lake_workload(151);
+    let base = tmpdir("sweep");
+    let mut control = Engine::create(base.join("control"), config(1 << 30)).unwrap();
+    for r in &records {
+        control.apply(r.clone()).unwrap();
+    }
+
+    for memtable_tail in [true, false] {
+        let pristine = base.join(format!("pristine-{memtable_tail}"));
+        {
+            let mut e = Engine::create(&pristine, config(2000)).unwrap();
+            for r in &records {
+                e.apply(r.clone()).unwrap();
+            }
+            if !memtable_tail {
+                e.flush().unwrap();
+            }
+            assert!(e.num_cold_segments() >= 2, "budget must force flushes");
+            assert!(e.stats().deltas_written >= 1, "flushes must write deltas");
+        }
+        let delta = std::fs::read_dir(&pristine)
+            .unwrap()
+            .flatten()
+            .map(|f| f.file_name().to_string_lossy().into_owned())
+            .filter(|n| n.starts_with("cdelta-"))
+            .min()
+            .unwrap();
+        let seg = seg_files(&pristine)[0].clone();
+
+        let mut n = 0u64;
+        loop {
+            n += 1;
+            let dir = base.join(format!("tail{memtable_tail}-n{n}"));
+            copy_dir(&pristine, &dir);
+            let fault = Arc::new(FaultVfs::new());
+            let cfg = EngineConfig {
+                vfs: Arc::new(Arc::clone(&fault)),
+                ..config(2000)
+            };
+            let mut e = Engine::open(&dir, cfg).unwrap();
+            corrupt_middle_byte(&dir.join(&seg));
+            corrupt_middle_byte(&dir.join(&delta));
+            fault.fail_nth(n);
+            let first = e.scrub();
+            let fired = fault.injected() > 0;
+            fault.disarm_all();
+            if let Err(err) = &first {
+                assert!(
+                    matches!(err, EngineError::Degraded { .. } | EngineError::IoAt { .. }),
+                    "tail={memtable_tail} op {n}: untyped scrub error: {err:?}"
+                );
+            }
+            if e.degraded_reason().is_some() {
+                assert!(first.is_err(), "op {n}: degraded without an error");
+                assert_engines_identical(&e, &control, &query);
+            } else {
+                let second = e.scrub().unwrap_or_else(|err| {
+                    panic!("tail={memtable_tail} op {n}: fault-free scrub failed: {err}")
+                });
+                if first.is_ok() {
+                    assert_eq!(
+                        second.corruptions_found, 0,
+                        "op {n}: first pass left damage"
+                    );
+                }
+                assert_engines_identical(&e, &control, &query);
+                drop(e);
+                let reopened = Engine::open(&dir, config(2000)).unwrap_or_else(|err| {
+                    panic!("tail={memtable_tail} op {n}: clean reopen failed: {err}")
+                });
+                assert_engines_identical(&reopened, &control, &query);
+            }
+            std::fs::remove_dir_all(&dir).ok();
+            if !fired {
+                let report = first.expect("no fault fired; scrub must heal");
+                assert!(report.checkpoint_rewritten);
+                assert!(report.segments_rebuilt >= 1);
+                assert!(n > 20, "sweep ended after only {n} ops");
+                break;
+            }
+        }
+    }
     std::fs::remove_dir_all(base).ok();
 }

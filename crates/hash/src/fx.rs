@@ -58,9 +58,14 @@ impl Hasher for FxHasher {
         self.add_to_hash(i as u64);
     }
 
+    /// The multiply leaves the product's low bits a function of the
+    /// input's low bits alone, i.e. of a string's first bytes, yet hash
+    /// tables slot on exactly those bits. Rotating the well-mixed high bits
+    /// down (rustc-hash 2's finalizer) keeps keys that differ only at the
+    /// end, like `key1`, `key2`, ..., out of one probe cluster.
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        self.hash.rotate_left(26)
     }
 }
 

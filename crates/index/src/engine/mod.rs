@@ -83,9 +83,9 @@
 //!   amplification is bounded: a merge only ever rewrites segments of one
 //!   size class, never the whole stack. [`Engine::compact`] (the full-stack
 //!   fold) remains available for tooling. Either way discovery results are
-//!   preserved exactly (property-tested), and the corpus checkpoint and
-//!   WAL watermark are untouched, so crash recovery around compaction
-//!   needs no special cases.
+//!   preserved exactly (property-tested), and the WAL watermark is
+//!   untouched (the checkpoint chain only folds, at the same watermark), so
+//!   crash recovery around compaction needs no special cases.
 //! * **Group commit** — [`Engine::apply`] acknowledges a record once its
 //!   WAL frame is fsynced. With [`EngineConfig::group_commit`] > 1 the
 //!   fsync is deferred: records are buffered (written, not yet synced) and
@@ -95,36 +95,49 @@
 //!   [`EngineLake`] group-commit protocol, tests) that manage the window
 //!   themselves.
 //!
-//! # Durability guarantee (fsync discipline)
+//! # Durability guarantee (one commit primitive)
 //!
-//! Every commit point is ordered behind the durability of everything it
-//! references:
+//! Every change to the on-disk state — flush, compaction merge, scrub's
+//! segment rebuild, checkpoint heal, and manifest rewrite — goes through
+//! one commit (`Engine::commit`) under one rule: **every fallible step
+//! happens before the manifest flip**.
+//!
+//! * **Before the flip** the caller makes everything the new manifest
+//!   references durable through [`write_file_atomic_vfs`] (contents
+//!   fsynced, renamed into place, parent directory fsynced): the segment
+//!   from the one segment writer, already opened as a paged layer; the
+//!   corpus delta or full checkpoint; and, for a flush, the rotated WAL
+//!   file, created *and* opened for appends. A failure here leaves the
+//!   engine unchanged and consistent with the old manifest; what was
+//!   written is an orphan the next open garbage-collects. A corpus delta
+//!   is a whole CRC-framed file, never an in-place append, so the chain a
+//!   manifest references is always complete.
+//! * **The flip**, the atomic `MANIFEST` replace, is the only commit
+//!   point. [`Engine::create`] writes its first manifest through the same
+//!   save.
+//! * **After the flip** nothing can fail: an in-memory switch of stack,
+//!   WAL, checkpoint, segment-id counter, and ownership (one resolution:
+//!   the newest claim wins, the memtable outranks cold), then best-effort
+//!   cleanup. Retired segments are doomed — unlinked once the last
+//!   snapshot serving them drops — and superseded WAL and checkpoint files
+//!   are deleted without a directory fsync: a crash that resurrects one is
+//!   harmless, since [`Engine::open`] collects every file the manifest
+//!   does not reference.
+//!
+//! So a maintenance call that returns an error leaves an engine that keeps
+//! acknowledging writes into the WAL the manifest names (swept per I/O op
+//! in `engine_recovery.rs`). Two rules sit outside the commit:
 //!
 //! * **WAL appends** are made durable by `fdatasync` before they are
-//!   acknowledged (write-ahead rule). The WAL file itself is created with
-//!   tmp + fsync + rename + parent-directory fsync, so the file's
-//!   existence is durable before any record lands in it.
-//! * **Segment, corpus-checkpoint, corpus-delta, and manifest writes**
-//!   all go through [`write_file_atomic_vfs`]: contents fsynced, renamed into
-//!   place, parent directory fsynced — in that order, each file *before*
-//!   the manifest flip that references it. The manifest rename is the
-//!   single commit point of flush and compaction. A corpus delta is a
-//!   whole CRC-framed file, never an in-place append: a flush that dies
-//!   before the flip leaves at worst an orphan `cdelta-*` file (or a
-//!   `*.tmp`), both garbage-collected at the next open; the chain the
-//!   manifest references is always complete and fully fsynced. (The
-//!   directory fsync step is best-effort by design — see
-//!   [`write_file_atomic_vfs`]: on filesystems where it fails, file
-//!   *contents* are still fully synced and only the durability of the
-//!   rename itself degrades to the filesystem's own ordering
-//!   guarantees.)
+//!   acknowledged (write-ahead rule).
 //! * **Torn-tail trims** at recovery use in-place `set_len` + fsync —
 //!   never a rewrite of the acknowledged prefix, so a crash during the
 //!   trim cannot destroy acknowledged records.
-//! * **Deletions** of superseded files (old WAL, old checkpoint, compacted
-//!   segments) are best-effort and carry no directory fsync: if a crash
-//!   resurrects one, the next [`Engine::open`] garbage-collects every file
-//!   the manifest does not reference, so resurrection is harmless.
+//!
+//! The directory fsync in [`write_file_atomic_vfs`] is best-effort by
+//! design: on filesystems where it fails, file *contents* are still fully
+//! synced and only the durability of the rename itself degrades to the
+//! filesystem's own ordering guarantees.
 //!
 //! # Failure model (fault injection, scrub, self-healing)
 //!
@@ -255,6 +268,37 @@ fn corpus_delta_file(gen: u64, seq: u64) -> String {
 }
 fn wal_file(seq: u64) -> String {
     format!("wal-{seq:08}.log")
+}
+
+/// The files of the checkpoint chain `(gen, delta_seq)` in replay order:
+/// the full checkpoint `corpus-<gen>`, then `cdelta-<gen>-1..=delta_seq`.
+fn checkpoint_files(gen: u64, delta_seq: u64) -> impl Iterator<Item = String> {
+    std::iter::once(corpus_file(gen)).chain((1..=delta_seq).map(move |s| corpus_delta_file(gen, s)))
+}
+
+/// Loads the checkpoint chain `(gen, delta_seq)` through `vfs`: the full
+/// checkpoint with every delta folded on top, in order. Each delta
+/// carries the full content of its dirty tables — last-wins, so the fold
+/// is order-dependent but idempotent per table.
+fn load_checkpoint(
+    vfs: &dyn Vfs,
+    dir: &Path,
+    gen: u64,
+    delta_seq: u64,
+) -> Result<Corpus, StorageError> {
+    let mut corpus = persist::load_corpus_vfs(vfs, &dir.join(corpus_file(gen)))?;
+    for seq in 1..=delta_seq {
+        let payload =
+            mate_storage::manifest::load_vfs(vfs, &dir.join(corpus_delta_file(gen, seq)))?;
+        persist::apply_corpus_delta(&mut corpus, payload)?;
+    }
+    Ok(corpus)
+}
+
+/// Atomically replaces `MANIFEST`: the commit point of every engine state
+/// change. [`Engine::create`] and [`Engine::commit`] are its only callers.
+fn save_manifest(vfs: &dyn Vfs, dir: &Path, m: &Manifest) -> Result<(), StorageError> {
+    m.save_vfs(vfs, &dir.join(MANIFEST_FILE))
 }
 
 /// Lock-rank table of the engine (the canonical acquisition order is in
@@ -648,6 +692,41 @@ pub(crate) struct ColdLayer {
 }
 
 impl ColdLayer {
+    /// Builds the serving layer of segment `id` from its parsed resident
+    /// bytes (`file_bytes` long): decodes the claims, stream-validates the
+    /// posting blocks — so later paged probes are infallible — and rebinds
+    /// them as demand-paged extents of the file, registered with `pager`.
+    /// Shared by recovery and the segment writer; the caller drops the
+    /// resident buffer afterwards.
+    fn open(
+        vfs: &Arc<dyn Vfs>,
+        pager: &Arc<PageCache>,
+        dir: &Path,
+        id: u64,
+        seg: &SegmentReader,
+        file_bytes: usize,
+    ) -> Result<Self, StorageError> {
+        let path = dir.join(seg_file(id));
+        let store = persist::read_cold_store_paged(seg, pager, id)?;
+        let claims = decode_claims(&mut Reader::new(seg.block("engine.claims")?))?;
+        // Deep copy: a `Bytes` slice would pin the whole segment buffer.
+        let superkeys_block = Bytes::from(seg.block("index.superkeys2")?.to_vec());
+        pager.register_segment(id, &path);
+        Ok(ColdLayer {
+            id,
+            claims,
+            store,
+            superkeys_block,
+            bytes: file_bytes,
+            pin: Arc::new(SegmentFilePin::new(
+                Arc::clone(vfs),
+                Arc::clone(pager),
+                id,
+                path,
+            )),
+        })
+    }
+
     /// Write-time posting count of a claimed table (0 if not claimed).
     fn claim_postings(&self, table: u32) -> u64 {
         self.claims
@@ -911,14 +990,13 @@ impl Engine {
         vfs.create_dir_all(&dir)
             .io_ctx("creating engine dir", &dir)?;
         let corpus = Corpus::new();
-        let hasher = Xash::new(config.hash_size);
         write_file_atomic_vfs(
             vfs.as_ref(),
             &dir.join(corpus_file(0)),
             &persist::corpus_to_bytes(&corpus),
         )?;
         write_file_atomic_vfs(vfs.as_ref(), &dir.join(wal_file(0)), &[])?;
-        Manifest {
+        let m = Manifest {
             hash_bits: config.hash_size.bits() as u64,
             hasher_name: "Xash".to_string(),
             corpus_gen: 0,
@@ -926,51 +1004,12 @@ impl Engine {
             wal_seq: 0,
             next_segment_id: 0,
             segments: Vec::new(),
-        }
-        .save_vfs(vfs.as_ref(), &dir.join(MANIFEST_FILE))?;
-        let wal_path = dir.join(wal_file(0));
-        let wal = vfs
-            .open_append(&wal_path)
-            .io_ctx("opening WAL", &wal_path)?;
-        config.obs.event("create", format!("{}", dir.display()));
-        let shard_counters = Arc::new(ShardCounters::new(&config.obs));
-        let counters = Counters::new(&config.obs);
-        let pager = Arc::new(PageCache::new(
-            Arc::clone(&vfs),
-            DEFAULT_PAGE_SIZE,
-            config.cold_cache_budget_bytes,
-            &config.obs,
-        ));
-        let engine = Engine {
-            dir,
-            vfs,
-            pager,
-            hasher,
-            hasher_name: "Xash".to_string(),
-            corpus: Arc::new(corpus),
-            shards: new_shards(&config),
-            superkeys: Arc::new(SuperKeyStore::new(config.hash_size)),
-            quiesce: Arc::new(Quiesce::new()),
-            shard_counters,
-            config,
-            cold: Vec::new(),
-            cold_live: Vec::new(),
-            owners: Vec::new(),
-            snapshot_cache: None,
-            wal,
-            wal_poisoned: false,
-            degraded: None,
-            wal_seq: 0,
-            wal_len: 0,
-            wal_pending: 0,
-            dirty_tables: BTreeSet::new(),
-            corpus_delta_seq: 0,
-            source_epoch: 0,
-            instance: next_engine_instance(),
-            corpus_gen: 0,
-            next_segment_id: 0,
-            counters,
         };
+        save_manifest(vfs.as_ref(), &dir, &m)?;
+        let engine = Engine::assemble(dir, config, &m, corpus)?;
+        engine
+            .obs()
+            .event("create", format!("{}", engine.dir.display()));
         engine.gc_orphans();
         Ok(engine)
     }
@@ -997,150 +1036,16 @@ impl Engine {
                 value: config.hash_size.bits() as u64,
             });
         }
-        let mut corpus =
-            persist::load_corpus_vfs(vfs.as_ref(), &dir.join(corpus_file(m.corpus_gen)))?;
-        // Fold the incremental delta chain on top of the full checkpoint:
-        // `corpus-<gen>` ⊕ `cdelta-<gen>-1..=seq` is the corpus as of the
-        // WAL watermark (each delta carries the full content of its dirty
-        // tables — last-wins, so the fold is order-dependent but
-        // idempotent per table).
-        for seq in 1..=m.corpus_delta_seq {
-            let payload = mate_storage::manifest::load_vfs(
-                vfs.as_ref(),
-                &dir.join(corpus_delta_file(m.corpus_gen, seq)),
-            )?;
-            persist::apply_corpus_delta(&mut corpus, payload)?;
-        }
-        let pager = Arc::new(PageCache::new(
-            Arc::clone(&vfs),
-            DEFAULT_PAGE_SIZE,
-            config.cold_cache_budget_bytes,
-            &config.obs,
-        ));
-        let mut superkeys = SuperKeyStore::new(hash_size);
-        let mut cold = Vec::with_capacity(m.segments.len());
-        for (i, sm) in m.segments.iter().enumerate() {
-            let seg_path = dir.join(seg_file(sm.id));
-            // The whole file is resident only inside this iteration: the
-            // open-time walk validates every stream (so paged probes stay
-            // infallible), then the resident buffer is swapped for paged
-            // extents and dropped — steady-state cold memory is whatever
-            // the page cache holds under its budget.
-            let data = Bytes::from(vfs.read(&seg_path).io_ctx("reading segment", &seg_path)?);
-            let bytes = data.len();
-            let seg = SegmentReader::open(data)?;
-            let store = persist::read_cold_store_paged(&seg, &pager, sm.id)?;
-            let claims = decode_claims(&mut Reader::new(seg.block("engine.claims")?))?;
-            if let Some(last) = claims.last() {
-                if last.0 as usize >= corpus.len() {
-                    return Err(StorageError::InvalidLength {
-                        context: "segment claim table id",
-                        value: u64::from(last.0),
-                    });
-                }
-            }
-            // Deep copy: a `Bytes` slice would pin the whole file buffer.
-            let superkeys_block = Bytes::from(seg.block("index.superkeys2")?.to_vec());
-            if i + 1 == m.segments.len() {
-                // Newest segment: authoritative super keys as of the WAL
-                // watermark.
-                let (size, _) = persist::read_meta(&seg)?;
-                if size != hash_size {
-                    return Err(StorageError::InvalidLength {
-                        context: "segment hash size",
-                        value: size.bits() as u64,
-                    });
-                }
-                persist::read_superkeys(&seg, hash_size, &mut superkeys)?;
-            }
-            pager.register_segment(sm.id, &seg_path);
-            cold.push(Arc::new(ColdLayer {
-                id: sm.id,
-                claims,
-                store,
-                superkeys_block,
-                bytes,
-                pin: Arc::new(SegmentFilePin::new(
-                    Arc::clone(&vfs),
-                    Arc::clone(&pager),
-                    sm.id,
-                    seg_path,
-                )),
-            }));
-        }
-        if superkeys.num_tables() != corpus.len() {
-            return Err(StorageError::InvalidLength {
-                context: "superkey/corpus table count",
-                value: superkeys.num_tables() as u64,
-            });
-        }
-
-        // Ownership: newest claim wins (stack is oldest → newest).
-        let mut owners = vec![Owner::None; corpus.len()];
-        for (li, layer) in cold.iter().enumerate() {
-            for &(t, _) in &layer.claims {
-                owners[t as usize] = Owner::Cold(li as u32);
-            }
-        }
-        let cold_live: Vec<usize> = cold
-            .iter()
-            .enumerate()
-            .map(|(li, layer)| {
-                layer
-                    .claims
-                    .iter()
-                    .filter(|(t, _)| owners[*t as usize] == Owner::Cold(li as u32))
-                    .map(|(_, n)| *n as usize)
-                    .sum()
-            })
-            .collect();
-
-        let wal_path = dir.join(wal_file(m.wal_seq));
-        // Placeholder handle (created if missing); replaced after replay
-        // if the file needs a torn-tail trim first.
-        let wal = vfs
-            .open_append(&wal_path)
-            .io_ctx("opening WAL", &wal_path)?;
-        let mut engine = Engine {
-            dir,
-            vfs,
-            pager,
-            hasher: Xash::new(hash_size),
-            hasher_name: m.hasher_name.clone(),
-            corpus: Arc::new(corpus),
-            shards: new_shards(&config),
-            superkeys: Arc::new(superkeys),
-            quiesce: Arc::new(Quiesce::new()),
-            shard_counters: Arc::new(ShardCounters::new(&config.obs)),
-            counters: Counters::new(&config.obs),
-            config,
-            cold,
-            cold_live,
-            owners,
-            snapshot_cache: None,
-            wal,
-            wal_poisoned: false,
-            degraded: None,
-            wal_seq: m.wal_seq,
-            wal_len: 0,
-            wal_pending: 0,
-            dirty_tables: BTreeSet::new(),
-            corpus_delta_seq: m.corpus_delta_seq,
-            source_epoch: 0,
-            instance: next_engine_instance(),
-            corpus_gen: m.corpus_gen,
-            next_segment_id: m.next_segment_id,
-        };
+        let corpus = load_checkpoint(vfs.as_ref(), &dir, m.corpus_gen, m.corpus_delta_seq)?;
+        let mut engine = Engine::assemble(dir, config, &m, corpus)?;
 
         // Replay the WAL tail (everything after the watermark). A read
         // error here must abort the open — this is the one file holding
         // acknowledged-but-unflushed mutations, and recovering without it
         // would silently drop them (and the next flush would then destroy
         // them for good).
-        let log = engine
-            .vfs
-            .read(&wal_path)
-            .io_ctx("reading WAL", &wal_path)?;
+        let wal_path = engine.dir.join(wal_file(m.wal_seq));
+        let log = vfs.read(&wal_path).io_ctx("reading WAL", &wal_path)?;
         let (records, valid_len) = wal::parse_log(&log);
         for rec in records {
             engine.apply_in_memory(rec);
@@ -1151,9 +1056,8 @@ impl Engine {
             // a crash mid-rewrite of a full copy could destroy the
             // acknowledged prefix, a crash mid-truncation cannot), and
             // fsync so the trim itself is durable before new appends.
-            wal::trim_torn_tail(engine.vfs.as_ref(), &wal_path, valid_len as u64)?;
-            engine.wal = engine
-                .vfs
+            wal::trim_torn_tail(vfs.as_ref(), &wal_path, valid_len as u64)?;
+            engine.wal = vfs
                 .open_append(&wal_path)
                 .io_ctx("reopening trimmed WAL", &wal_path)?;
         }
@@ -1171,16 +1075,109 @@ impl Engine {
         Ok(engine)
     }
 
+    /// The one constructor behind [`Engine::create`] and [`Engine::open`]:
+    /// opens every segment `m` names as a paged layer over `corpus` (the
+    /// checkpoint chain the manifest names), takes the super keys from the
+    /// newest segment, resolves ownership, and opens the manifest's WAL for
+    /// appends. Replays nothing: `open` replays the WAL into the result.
+    fn assemble(
+        dir: PathBuf,
+        config: EngineConfig,
+        m: &Manifest,
+        corpus: Corpus,
+    ) -> Result<Self, StorageError> {
+        let vfs = Arc::clone(&config.vfs);
+        let pager = Arc::new(PageCache::new(
+            Arc::clone(&vfs),
+            DEFAULT_PAGE_SIZE,
+            config.cold_cache_budget_bytes,
+            &config.obs,
+        ));
+        let mut superkeys = SuperKeyStore::new(config.hash_size);
+        let mut cold = Vec::with_capacity(m.segments.len());
+        for (i, sm) in m.segments.iter().enumerate() {
+            let seg_path = dir.join(seg_file(sm.id));
+            // The whole file is resident only inside this iteration: the
+            // layer open validates every stream (so paged probes stay
+            // infallible), then the resident buffer is dropped —
+            // steady-state cold memory is whatever the page cache holds
+            // under its budget.
+            let data = Bytes::from(vfs.read(&seg_path).io_ctx("reading segment", &seg_path)?);
+            let file_bytes = data.len();
+            let seg = SegmentReader::open(data)?;
+            let layer = ColdLayer::open(&vfs, &pager, &dir, sm.id, &seg, file_bytes)?;
+            if let Some(last) = layer.claims.last() {
+                if last.0 as usize >= corpus.len() {
+                    return Err(StorageError::InvalidLength {
+                        context: "segment claim table id",
+                        value: u64::from(last.0),
+                    });
+                }
+            }
+            if i + 1 == m.segments.len() {
+                // Newest segment: authoritative super keys as of the WAL
+                // watermark.
+                let (size, _) = persist::read_meta(&seg)?;
+                if size != config.hash_size {
+                    return Err(StorageError::InvalidLength {
+                        context: "segment hash size",
+                        value: size.bits() as u64,
+                    });
+                }
+                persist::read_superkeys(&seg, config.hash_size, &mut superkeys)?;
+            }
+            cold.push(Arc::new(layer));
+        }
+        if superkeys.num_tables() != corpus.len() {
+            return Err(StorageError::InvalidLength {
+                context: "superkey/corpus table count",
+                value: superkeys.num_tables() as u64,
+            });
+        }
+        let wal_path = dir.join(wal_file(m.wal_seq));
+        let wal = vfs
+            .open_append(&wal_path)
+            .io_ctx("opening WAL", &wal_path)?;
+        let mut engine = Engine {
+            dir,
+            vfs,
+            pager,
+            hasher: Xash::new(config.hash_size),
+            hasher_name: m.hasher_name.clone(),
+            owners: vec![Owner::None; corpus.len()],
+            corpus: Arc::new(corpus),
+            shards: new_shards(&config),
+            superkeys: Arc::new(superkeys),
+            quiesce: Arc::new(Quiesce::new()),
+            shard_counters: Arc::new(ShardCounters::new(&config.obs)),
+            counters: Counters::new(&config.obs),
+            config,
+            cold,
+            cold_live: Vec::new(),
+            snapshot_cache: None,
+            wal,
+            wal_poisoned: false,
+            degraded: None,
+            wal_seq: m.wal_seq,
+            wal_len: 0,
+            wal_pending: 0,
+            dirty_tables: BTreeSet::new(),
+            corpus_delta_seq: m.corpus_delta_seq,
+            source_epoch: 0,
+            instance: next_engine_instance(),
+            corpus_gen: m.corpus_gen,
+            next_segment_id: m.next_segment_id,
+        };
+        engine.resolve_owners();
+        Ok(engine)
+    }
+
     /// Deletes files in the engine directory that the manifest does not
     /// reference — leftovers of flushes/compactions interrupted before
     /// their manifest flip. Best-effort by design.
     fn gc_orphans(&self) {
-        let mut keep: Vec<String> = vec![
-            MANIFEST_FILE.to_string(),
-            corpus_file(self.corpus_gen),
-            wal_file(self.wal_seq),
-        ];
-        keep.extend((1..=self.corpus_delta_seq).map(|s| corpus_delta_file(self.corpus_gen, s)));
+        let mut keep: Vec<String> = vec![MANIFEST_FILE.to_string(), wal_file(self.wal_seq)];
+        keep.extend(checkpoint_files(self.corpus_gen, self.corpus_delta_seq));
         keep.extend(self.cold.iter().map(|l| seg_file(l.id)));
         let Ok(entries) = self.vfs.read_dir(&self.dir) else {
             return;
@@ -1199,39 +1196,6 @@ impl Engine {
             }
         }
     }
-
-    /// Opens the just-written segment `bytes` (file `seg-<seg_id>.seg`,
-    /// already durable) for paged serving: parses and stream-validates the
-    /// resident buffer — so later paged probes are infallible — then swaps
-    /// it for demand-paged extents over the file and registers the file
-    /// with the page cache. The resident buffer is dropped on return.
-    fn open_paged_layer(
-        &self,
-        seg_id: u64,
-        bytes: &Bytes,
-        claims: Vec<Claim>,
-    ) -> Result<ColdLayer, StorageError> {
-        let path = self.dir.join(seg_file(seg_id));
-        let seg = SegmentReader::open(bytes.clone())?;
-        let store = persist::read_cold_store_paged(&seg, &self.pager, seg_id)?;
-        // Deep copy: a `Bytes` slice would pin the whole segment buffer.
-        let superkeys_block = Bytes::from(seg.block("index.superkeys2")?.to_vec());
-        self.pager.register_segment(seg_id, &path);
-        Ok(ColdLayer {
-            id: seg_id,
-            claims,
-            store,
-            superkeys_block,
-            bytes: bytes.len(),
-            pin: Arc::new(SegmentFilePin::new(
-                Arc::clone(&self.vfs),
-                Arc::clone(&self.pager),
-                seg_id,
-                path,
-            )),
-        })
-    }
-
     // ----------------------------------------------------------- writing --
 
     /// Applies one edit: WAL append (write-ahead rule) + in-memory apply,
@@ -1600,25 +1564,171 @@ impl Engine {
         self.owners[t.index()] = Owner::Mem;
     }
 
-    // ----------------------------------------------------------- flushing --
+    // ------------------------------------------------------------ commit --
 
-    fn manifest_for(
+    /// The one segment writer: writes `seg-<next_segment_id>.seg` — the
+    /// index meta block, the posting blocks of `values` (sorted in place),
+    /// `superkeys_block` as `index.superkeys2`, and the `engine.claims`
+    /// block — durably through [`write_file_atomic_vfs`], then opens it as
+    /// a paged layer. Nothing references the file until a
+    /// [`Engine::commit`] publishes the layer; a failure leaves at worst an
+    /// orphan for the next open's GC.
+    fn write_segment(
         &self,
-        segments: Vec<SegmentMeta>,
-        corpus_gen: u64,
-        corpus_delta_seq: u64,
-        wal_seq: u64,
-    ) -> Manifest {
-        Manifest {
+        values: &mut [(&str, &[PostingEntry])],
+        num_tables: usize,
+        superkeys_block: Bytes,
+        claims: &[Claim],
+    ) -> Result<ColdLayer, StorageError> {
+        let id = self.next_segment_id;
+        let mut sw = SegmentWriter::new();
+        sw.add_block(
+            "index.meta",
+            persist::meta_block(self.hash_size(), &self.hasher_name, num_tables),
+        );
+        persist::add_posting_blocks(&mut sw, values, self.config.block_len);
+        sw.add_block("index.superkeys2", superkeys_block);
+        let mut cw = Writer::new();
+        encode_claims(claims, &mut cw);
+        sw.add_block("engine.claims", cw.finish());
+        let bytes = sw.finish();
+        write_file_atomic_vfs(self.vfs.as_ref(), &self.dir.join(seg_file(id)), &bytes)?;
+        let file_bytes = bytes.len();
+        let seg = SegmentReader::open(bytes)?;
+        ColdLayer::open(&self.vfs, &self.pager, &self.dir, id, &seg, file_bytes)
+    }
+
+    /// Writes `corpus` as the next full checkpoint generation
+    /// (`corpus-<gen + 1>`); returns that generation and the payload size.
+    fn write_full_checkpoint(&self, corpus: &Corpus) -> Result<(u64, u64), StorageError> {
+        let gen = self.corpus_gen + 1;
+        let payload = persist::corpus_to_bytes(corpus);
+        write_file_atomic_vfs(
+            self.vfs.as_ref(),
+            &self.dir.join(corpus_file(gen)),
+            &payload,
+        )?;
+        Ok((gen, payload.len() as u64))
+    }
+
+    /// The one commit of every on-disk state change — flush, merge,
+    /// rebuild, checkpoint heal, and scrub's manifest rewrite. The caller
+    /// has done every fallible step already: `cold`'s new layer is durable
+    /// and open, the checkpoint chain `(gen, delta_seq)` is durable, and a
+    /// rotated `wal` is created and its handle opened. Saving the manifest
+    /// is the commit point; if it fails, the engine is unchanged.
+    ///
+    /// After the flip only an infallible in-memory switch remains: the
+    /// stack, checkpoint, and segment-id counter move; a rotated WAL
+    /// replaces the active one and, since the flush folded the memtable
+    /// into the new layer, the shards empty and their tables fall to the
+    /// new layer's claims; ownership is re-resolved. Then `retired` layers
+    /// are doomed (their files go with the last snapshot serving them) and
+    /// the superseded WAL and checkpoint files are deleted, best-effort.
+    fn commit(
+        &mut self,
+        cold: Vec<Arc<ColdLayer>>,
+        retired: Vec<Arc<ColdLayer>>,
+        (gen, delta_seq): (u64, u64),
+        wal: Option<(u64, Box<dyn VfsFile>)>,
+    ) -> Result<(), StorageError> {
+        let m = Manifest {
             hash_bits: self.hash_size().bits() as u64,
             hasher_name: self.hasher_name.clone(),
-            corpus_gen,
-            corpus_delta_seq,
-            wal_seq,
+            corpus_gen: gen,
+            corpus_delta_seq: delta_seq,
+            wal_seq: wal.as_ref().map_or(self.wal_seq, |(seq, _)| *seq),
             next_segment_id: self.next_segment_id + 1,
-            segments,
+            segments: cold.iter().map(|l| l.meta()).collect(),
+        };
+        save_manifest(self.vfs.as_ref(), &self.dir, &m)?;
+
+        // ---- committed: infallible in-memory switch ---------------------
+        self.invalidate_snapshot();
+        let mut superseded = Vec::new();
+        if let Some((seq, handle)) = wal {
+            superseded.push(wal_file(self.wal_seq));
+            self.wal = handle;
+            self.wal_seq = seq;
+            self.wal_len = 0;
+            self.wal_pending = 0;
+            self.dirty_tables.clear();
+            // Fresh stores rather than `make_mut` + clear: if a snapshot
+            // still pins the old shard stores, `make_mut` would deep-copy
+            // them just to throw them away.
+            for shard in self.shards.iter() {
+                *shard.store.lock() = Arc::new(PostingStore::new());
+            }
+            for owner in &mut self.owners {
+                if *owner == Owner::Mem {
+                    *owner = Owner::None;
+                }
+            }
         }
+        if gen != self.corpus_gen {
+            // A generation bump supersedes the previous full checkpoint
+            // and its whole delta chain.
+            superseded.extend(checkpoint_files(self.corpus_gen, self.corpus_delta_seq));
+        }
+        // The manifest always reserves one id past the counter; the counter
+        // itself moves only when this commit publishes the segment written
+        // under it (a heal or manifest rewrite writes none).
+        if cold.iter().any(|l| l.id == self.next_segment_id) {
+            self.next_segment_id += 1;
+        }
+        self.cold = cold;
+        self.corpus_gen = gen;
+        self.corpus_delta_seq = delta_seq;
+        self.resolve_owners();
+        self.source_epoch += 1;
+        // Retired layers' files go once the last snapshot still serving
+        // them drops its `Arc` (immediately, when nothing pins them).
+        // Deleting eagerly would tear pages out from under paged readers
+        // of older snapshots.
+        for layer in retired {
+            layer.pin.doom();
+        }
+        // Superseded files; ignorable failures (orphan GC covers them).
+        for name in superseded {
+            let _ = self.vfs.remove_file(&self.dir.join(name));
+        }
+        Ok(())
     }
+
+    /// Recomputes `owners` and `cold_live` from the claim stack: the newest
+    /// cold claim wins, and memtable ownership outranks every cold claim.
+    /// A table no layer claims any more (its tombstone was compacted away)
+    /// is owned by none.
+    fn resolve_owners(&mut self) {
+        for owner in &mut self.owners {
+            if *owner != Owner::Mem {
+                *owner = Owner::None;
+            }
+        }
+        for (li, layer) in self.cold.iter().enumerate() {
+            for &(t, _) in &layer.claims {
+                let owner = &mut self.owners[t as usize];
+                if *owner != Owner::Mem {
+                    *owner = Owner::Cold(li as u32);
+                }
+            }
+        }
+        self.cold_live = self
+            .cold
+            .iter()
+            .enumerate()
+            .map(|(li, layer)| {
+                layer
+                    .claims
+                    .iter()
+                    .filter(|(t, _)| self.owners[*t as usize] == Owner::Cold(li as u32))
+                    .map(|(_, n)| *n as usize)
+                    .sum()
+            })
+            .collect();
+    }
+
+    // ----------------------------------------------------------- flushing --
 
     /// Flushes the memtable shards into a new immutable cold segment,
     /// checkpoints the corpus **incrementally** — a `cdelta` record
@@ -1661,14 +1771,7 @@ impl Engine {
         }
         self.invalidate_snapshot();
         self.rendezvous();
-        let claimed: Vec<u32> = self
-            .owners
-            .iter()
-            .enumerate()
-            .filter(|(_, o)| **o == Owner::Mem)
-            .map(|(t, _)| t as u32)
-            .collect();
-        if claimed.is_empty() {
+        if !self.owners.contains(&Owner::Mem) {
             return Ok(false);
         }
         let obs = Arc::clone(&self.config.obs);
@@ -1686,39 +1789,31 @@ impl Engine {
         for pl in merged.values_mut() {
             pl.sort_unstable();
         }
-        // Per-table live posting counts of the memtable.
+        // The new layer claims every memtable-owned table with its live
+        // posting count.
         let mut counts = vec![0u64; self.corpus.len()];
         for pl in merged.values() {
             for e in pl {
                 counts[e.table.index()] += 1;
             }
         }
-        let claims: Vec<Claim> = claimed.iter().map(|&t| (t, counts[t as usize])).collect();
-        let live: usize = claims.iter().map(|c| c.1 as usize).sum();
+        let claims: Vec<Claim> = self
+            .owners
+            .iter()
+            .enumerate()
+            .filter(|(_, o)| **o == Owner::Mem)
+            .map(|(t, _)| (t as u32, counts[t]))
+            .collect();
 
-        // ---- plan: write every file, newest manifest last ---------------
-        let seg_id = self.next_segment_id;
-        let mut sw = SegmentWriter::new();
-        sw.add_block(
-            "index.meta",
-            persist::meta_block(
-                self.config.hash_size,
-                &self.hasher_name,
-                self.superkeys.num_tables(),
-            ),
-        );
+        // ---- every fallible step, before the manifest flip ----------------
         let mut values: Vec<(&str, &[PostingEntry])> =
             merged.iter().map(|(v, pl)| (*v, pl.as_slice())).collect();
-        persist::add_posting_blocks(&mut sw, &mut values, self.config.block_len);
-        sw.add_block(
-            "index.superkeys2",
+        let layer = self.write_segment(
+            &mut values,
+            self.superkeys.num_tables(),
             persist::superkeys_block(&self.superkeys),
-        );
-        let mut cw = Writer::new();
-        encode_claims(&claims, &mut cw);
-        sw.add_block("engine.claims", cw.finish());
-        let bytes = sw.finish();
-        write_file_atomic_vfs(self.vfs.as_ref(), &self.dir.join(seg_file(seg_id)), &bytes)?;
+            &claims,
+        )?;
         // Checkpoint only what changed: nothing (generation and chain
         // kept), a delta record of the dirty tables, or — once the chain
         // is long enough that replay cost would creep (or the scrub path
@@ -1730,8 +1825,8 @@ impl Engine {
             Full(u64),
         }
         let dirty: Vec<u32> = self.dirty_tables.iter().copied().collect();
-        let (ckpt, new_gen, new_delta_seq) = if dirty.is_empty() && !force_full_checkpoint {
-            (Ckpt::Skip, self.corpus_gen, self.corpus_delta_seq)
+        let (ckpt, checkpoint) = if dirty.is_empty() && !force_full_checkpoint {
+            (Ckpt::Skip, (self.corpus_gen, self.corpus_delta_seq))
         } else if !force_full_checkpoint && self.corpus_delta_seq < MAX_DELTA_CHAIN {
             let seq = self.corpus_delta_seq + 1;
             let payload = persist::corpus_delta_to_bytes(&self.corpus, &dirty);
@@ -1740,51 +1835,22 @@ impl Engine {
                 &self.dir.join(corpus_delta_file(self.corpus_gen, seq)),
                 &payload,
             )?;
-            (Ckpt::Delta(payload.len() as u64), self.corpus_gen, seq)
+            (Ckpt::Delta(payload.len() as u64), (self.corpus_gen, seq))
         } else {
-            let gen = self.corpus_gen + 1;
-            let payload = persist::corpus_to_bytes(&self.corpus);
-            write_file_atomic_vfs(
-                self.vfs.as_ref(),
-                &self.dir.join(corpus_file(gen)),
-                &payload,
-            )?;
-            (Ckpt::Full(payload.len() as u64), gen, 0)
+            let (gen, bytes) = self.write_full_checkpoint(&self.corpus)?;
+            (Ckpt::Full(bytes), (gen, 0))
         };
-        let new_seq = self.wal_seq + 1;
-        write_file_atomic_vfs(self.vfs.as_ref(), &self.dir.join(wal_file(new_seq)), &[])?;
-
-        // Load the flushed segment back for paged serving (re-validates
-        // the buffer before the resident copy is dropped).
-        let layer = self.open_paged_layer(seg_id, &bytes, claims)?;
-
-        // Commit point: the manifest flip.
-        let mut segments: Vec<SegmentMeta> = self.cold.iter().map(|l| l.meta()).collect();
-        segments.push(layer.meta());
-        self.manifest_for(segments, new_gen, new_delta_seq, new_seq)
-            .save_vfs(self.vfs.as_ref(), &self.dir.join(MANIFEST_FILE))?;
-
-        // ---- commit: infallible in-memory state switch ------------------
-        let new_wal_path = self.dir.join(wal_file(new_seq));
-        let new_wal = self
+        let wal_seq = self.wal_seq + 1;
+        let wal_path = self.dir.join(wal_file(wal_seq));
+        write_file_atomic_vfs(self.vfs.as_ref(), &wal_path, &[])?;
+        let wal = self
             .vfs
-            .open_append(&new_wal_path)
-            .io_ctx("opening rotated WAL", &new_wal_path)?;
-        let old_wal = self.dir.join(wal_file(self.wal_seq));
-        // A generation bump supersedes the previous full checkpoint and
-        // its whole delta chain.
-        let old_corpus = (new_gen != self.corpus_gen).then(|| {
-            let mut files = vec![self.dir.join(corpus_file(self.corpus_gen))];
-            files.extend(
-                (1..=self.corpus_delta_seq)
-                    .map(|s| self.dir.join(corpus_delta_file(self.corpus_gen, s))),
-            );
-            files
-        });
-        self.wal = new_wal;
-        self.wal_seq = new_seq;
-        self.wal_len = 0;
-        self.wal_pending = 0;
+            .open_append(&wal_path)
+            .io_ctx("opening rotated WAL", &wal_path)?;
+        let mut cold = self.cold.clone();
+        cold.push(Arc::new(layer));
+        self.commit(cold, Vec::new(), checkpoint, Some((wal_seq, wal)))?;
+
         match ckpt {
             Ckpt::Skip => self.counters.checkpoints_skipped += 1,
             Ckpt::Delta(bytes) => {
@@ -1796,30 +1862,7 @@ impl Engine {
                 self.counters.checkpoint_full_bytes += bytes;
             }
         }
-        self.dirty_tables.clear();
-        self.corpus_gen = new_gen;
-        self.corpus_delta_seq = new_delta_seq;
-        self.next_segment_id += 1;
-        let layer_idx = self.cold.len() as u32;
-        self.cold.push(Arc::new(layer));
-        self.cold_live.push(live);
-        for t in claimed {
-            self.owners[t as usize] = Owner::Cold(layer_idx);
-        }
-        // Fresh stores rather than `make_mut` + clear: if a snapshot still
-        // pins the old shard stores, `make_mut` would deep-copy them just
-        // to throw them away. The super keys are shared forward (per-table
-        // Arc spine — cheap either way).
-        for shard in self.shards.iter() {
-            *shard.store.lock() = Arc::new(PostingStore::new());
-        }
         self.counters.flushes += 1;
-        self.source_epoch += 1;
-        // Superseded files; ignorable failures (orphan GC covers them).
-        let _ = self.vfs.remove_file(&old_wal);
-        for p in old_corpus.into_iter().flatten() {
-            let _ = self.vfs.remove_file(&p);
-        }
         Ok(true)
     }
 
@@ -1950,145 +1993,55 @@ impl Engine {
         }
         claims.sort_unstable_by_key(|c| c.0);
 
-        // ---- plan -------------------------------------------------------
-        let seg_id = self.next_segment_id;
-        let mut sw = SegmentWriter::new();
-        sw.add_block(
-            "index.meta",
-            persist::meta_block(self.hash_size(), &self.hasher_name, self.corpus.len()),
-        );
+        // ---- every fallible step, before the manifest flip ----------------
         let mut values: Vec<(&str, &[PostingEntry])> = merged
             .iter()
             .map(|(v, pl)| (v.as_str(), pl.as_slice()))
             .collect();
-        persist::add_posting_blocks(&mut sw, &mut values, self.config.block_len);
         // Super keys carried forward verbatim from the newest input. When
         // the output becomes the newest segment of the stack these are the
         // watermark-time keys recovery must replay from; otherwise only
         // the newest stack segment's block is ever read back.
-        let newest_superkeys = self.cold[out_pos].superkeys_block.clone();
-        sw.add_block("index.superkeys2", newest_superkeys);
-        let mut cw = Writer::new();
-        encode_claims(&claims, &mut cw);
-        sw.add_block("engine.claims", cw.finish());
-        let bytes = sw.finish();
-        write_file_atomic_vfs(self.vfs.as_ref(), &self.dir.join(seg_file(seg_id)), &bytes)?;
-
-        let layer = self.open_paged_layer(seg_id, &bytes, claims)?;
-
+        let layer = Arc::new(self.write_segment(
+            &mut values,
+            self.corpus.len(),
+            self.cold[out_pos].superkeys_block.clone(),
+            &claims,
+        )?);
         // Compaction is when the corpus delta chain folds: materialize
         // checkpoint ⊕ deltas **from disk** into a fresh full checkpoint
         // under the next generation. Folding the *live* corpus instead
         // would be wrong — the WAL watermark is unchanged here, so the
         // checkpoint must stay at watermark state (the live corpus already
         // contains post-watermark records that replay will re-apply).
-        let folded = self.fold_corpus_checkpoint()?;
-        if let Some((gen, payload)) = &folded {
-            write_file_atomic_vfs(
-                self.vfs.as_ref(),
-                &self.dir.join(corpus_file(*gen)),
-                payload,
-            )?;
-        }
-        let (m_gen, m_delta_seq) = match &folded {
-            Some((gen, _)) => (*gen, 0),
-            None => (self.corpus_gen, self.corpus_delta_seq),
+        let folded = if self.corpus_delta_seq == 0 {
+            None
+        } else {
+            Some(self.write_full_checkpoint(&self.load_watermark_corpus()?)?)
         };
-
-        // Commit point: the manifest names the post-merge stack; every
-        // file it references is already durable.
-        let mut metas = Vec::with_capacity(self.cold.len() + 1 - picks.len());
+        let checkpoint = folded.map_or((self.corpus_gen, self.corpus_delta_seq), |(gen, _)| {
+            (gen, 0)
+        });
+        let mut cold = Vec::with_capacity(self.cold.len() + 1 - picks.len());
+        let mut retired = Vec::with_capacity(picks.len());
         for (li, l) in self.cold.iter().enumerate() {
+            if !picks.contains(&li) {
+                cold.push(Arc::clone(l));
+                continue;
+            }
+            retired.push(Arc::clone(l));
             if li == out_pos {
-                metas.push(layer.meta());
-            } else if !picks.contains(&li) {
-                metas.push(l.meta());
+                cold.push(Arc::clone(&layer));
             }
         }
-        self.manifest_for(metas, m_gen, m_delta_seq, self.wal_seq)
-            .save_vfs(self.vfs.as_ref(), &self.dir.join(MANIFEST_FILE))?;
+        self.commit(cold, retired, checkpoint, None)?;
 
-        // ---- commit -----------------------------------------------------
-        if let Some((gen, payload)) = folded {
-            let old_gen = self.corpus_gen;
-            let old_chain = self.corpus_delta_seq;
-            self.corpus_gen = gen;
-            self.corpus_delta_seq = 0;
+        if let Some((_, bytes)) = folded {
             self.counters.checkpoints_written += 1;
-            self.counters.checkpoint_full_bytes += payload.len() as u64;
-            let _ = self.vfs.remove_file(&self.dir.join(corpus_file(old_gen)));
-            for s in 1..=old_chain {
-                let _ = self
-                    .vfs
-                    .remove_file(&self.dir.join(corpus_delta_file(old_gen, s)));
-            }
+            self.counters.checkpoint_full_bytes += bytes;
         }
-        self.next_segment_id += 1;
-        let mut new_layer = Some(Arc::new(layer));
-        let old = std::mem::take(&mut self.cold);
-        for (li, l) in old.into_iter().enumerate() {
-            if picks.contains(&li) {
-                // Merged away: the file goes once the last snapshot still
-                // serving this layer drops its `Arc` (immediately, when
-                // nothing pins it). Deleting eagerly would tear pages out
-                // from under paged readers of older snapshots.
-                l.pin.doom();
-                if li == out_pos {
-                    // panic-exempt: `out_pos` occurs once in the ascending
-                    // pick set, so the take runs exactly once.
-                    self.cold.push(new_layer.take().expect("placed once"));
-                }
-            } else {
-                self.cold.push(l);
-            }
-        }
-        // Re-resolve ownership against the new stack (memtable ownership
-        // is untouched — it always outranks cold claims).
-        for owner in &mut self.owners {
-            if !matches!(owner, Owner::Mem) {
-                *owner = Owner::None;
-            }
-        }
-        for li in 0..self.cold.len() {
-            for ci in 0..self.cold[li].claims.len() {
-                let t = self.cold[li].claims[ci].0 as usize;
-                if !matches!(self.owners[t], Owner::Mem) {
-                    self.owners[t] = Owner::Cold(li as u32);
-                }
-            }
-        }
-        self.cold_live = self
-            .cold
-            .iter()
-            .enumerate()
-            .map(|(li, l)| {
-                l.claims
-                    .iter()
-                    .filter(|(t, _)| self.owners[*t as usize] == Owner::Cold(li as u32))
-                    .map(|(_, n)| *n as usize)
-                    .sum()
-            })
-            .collect();
         self.counters.compactions += 1;
-        self.source_epoch += 1;
         Ok(())
-    }
-
-    /// Materializes the on-disk corpus state at the WAL watermark —
-    /// `corpus-<gen>` ⊕ `cdelta-<gen>-1..=seq` — and serializes it as the
-    /// next full generation. Returns `None` when there is no delta chain
-    /// to fold. Reads from disk on purpose: the live corpus is *ahead* of
-    /// the watermark by the unflushed WAL tail, which recovery replays on
-    /// top of whatever this writes.
-    fn fold_corpus_checkpoint(&self) -> Result<Option<(u64, Bytes)>, StorageError> {
-        if self.corpus_delta_seq == 0 {
-            return Ok(None);
-        }
-        let corpus = self.load_watermark_corpus()?;
-        Ok(Some((
-            self.corpus_gen + 1,
-            persist::corpus_to_bytes(&corpus),
-        )))
     }
 
     /// Loads the on-disk corpus state at the WAL watermark:
@@ -2097,18 +2050,12 @@ impl Engine {
     /// live corpus by the unflushed WAL tail — and therefore the base
     /// both checkpoint folds and scrub rebuilds must work from.
     fn load_watermark_corpus(&self) -> Result<Corpus, StorageError> {
-        let mut corpus = persist::load_corpus_vfs(
+        load_checkpoint(
             self.vfs.as_ref(),
-            &self.dir.join(corpus_file(self.corpus_gen)),
-        )?;
-        for seq in 1..=self.corpus_delta_seq {
-            let payload = mate_storage::manifest::load_vfs(
-                self.vfs.as_ref(),
-                &self.dir.join(corpus_delta_file(self.corpus_gen, seq)),
-            )?;
-            persist::apply_corpus_delta(&mut corpus, payload)?;
-        }
-        Ok(corpus)
+            &self.dir,
+            self.corpus_gen,
+            self.corpus_delta_seq,
+        )
     }
 
     // ----------------------------------------------- scrub / self-healing --
@@ -2185,9 +2132,8 @@ impl Engine {
         if Manifest::load_vfs(self.vfs.as_ref(), &self.dir.join(MANIFEST_FILE)).is_err() {
             report.corruptions_found += 1;
             self.counters.scrub_corruptions_found.inc();
-            let metas: Vec<SegmentMeta> = self.cold.iter().map(|l| l.meta()).collect();
-            self.manifest_for(metas, self.corpus_gen, self.corpus_delta_seq, self.wal_seq)
-                .save_vfs(self.vfs.as_ref(), &self.dir.join(MANIFEST_FILE))
+            let checkpoint = (self.corpus_gen, self.corpus_delta_seq);
+            self.commit(self.cold.clone(), Vec::new(), checkpoint, None)
                 .map_err(|e| self.degrade(format!("manifest rewrite failed: {e}")))?;
             report.manifest_rewritten = true;
         }
@@ -2265,38 +2211,19 @@ impl Engine {
                     .to_string(),
             ));
         }
-        let claimed = self.owners.iter().any(|o| matches!(o, Owner::Mem));
-        if claimed {
+        if self.owners.contains(&Owner::Mem) {
             return match self.flush_inner(true) {
                 Ok(_) => Ok(()),
                 Err(e) => Err(self.degrade(format!("checkpoint heal flush failed: {e}"))),
             };
         }
-        self.invalidate_snapshot();
-        let gen = self.corpus_gen + 1;
-        let payload = persist::corpus_to_bytes(&self.corpus);
-        write_file_atomic_vfs(
-            self.vfs.as_ref(),
-            &self.dir.join(corpus_file(gen)),
-            &payload,
-        )
-        .map_err(|e| self.degrade(format!("checkpoint heal write failed: {e}")))?;
-        let metas: Vec<SegmentMeta> = self.cold.iter().map(|l| l.meta()).collect();
-        self.manifest_for(metas, gen, 0, self.wal_seq)
-            .save_vfs(self.vfs.as_ref(), &self.dir.join(MANIFEST_FILE))
+        let (gen, bytes) = self
+            .write_full_checkpoint(&self.corpus)
+            .map_err(|e| self.degrade(format!("checkpoint heal write failed: {e}")))?;
+        self.commit(self.cold.clone(), Vec::new(), (gen, 0), None)
             .map_err(|e| self.degrade(format!("checkpoint heal manifest flip failed: {e}")))?;
-        let old_gen = self.corpus_gen;
-        let old_chain = self.corpus_delta_seq;
-        self.corpus_gen = gen;
-        self.corpus_delta_seq = 0;
         self.counters.checkpoints_written += 1;
-        self.counters.checkpoint_full_bytes += payload.len() as u64;
-        let _ = self.vfs.remove_file(&self.dir.join(corpus_file(old_gen)));
-        for s in 1..=old_chain {
-            let _ = self
-                .vfs
-                .remove_file(&self.dir.join(corpus_delta_file(old_gen, s)));
-        }
+        self.counters.checkpoint_full_bytes += bytes;
         Ok(())
     }
 
@@ -2347,24 +2274,18 @@ impl Engine {
             let _ = f.sync_all();
         }
 
-        // Watermark-time ownership from the claim stack alone (newest
-        // claimant wins; the in-memory `owners` map also reflects live
-        // post-watermark promotions, which must not leak into the file).
+        // Watermark-time ownership comes from the claim stack alone: a
+        // claim is live when no newer cold layer claims the table (the
+        // in-memory `owners` map also reflects live post-watermark
+        // promotions, which must not leak into the file).
         let nt = watermark.len();
-        let mut wm_owner: Vec<Option<u32>> = vec![None; nt];
-        for (lj, l) in self.cold.iter().enumerate() {
-            for &(t, _) in &l.claims {
-                if (t as usize) < nt {
-                    wm_owner[t as usize] = Some(lj as u32);
-                }
-            }
-        }
-
-        let old_claims = self.cold[li].claims.clone();
+        let corrupt = Arc::clone(&self.cold[li]);
+        let newer = self.cold[li + 1..].to_vec();
+        let live = |t: u32| (t as usize) < nt && !newer.iter().any(|l| l.claims_table(t));
         let mut claims: Vec<Claim> = Vec::new();
         let mut merged: BTreeMap<&str, Vec<PostingEntry>> = BTreeMap::new();
-        for &(t, n) in &old_claims {
-            if wm_owner.get(t as usize).copied().flatten() != Some(li as u32) {
+        for &(t, n) in &corrupt.claims {
+            if !live(t) {
                 continue; // masked by a newer cold layer: dead weight, drop
             }
             claims.push((t, n));
@@ -2412,84 +2333,26 @@ impl Engine {
             }
         }
 
-        let seg_id = self.next_segment_id;
-        let mut sw = SegmentWriter::new();
-        sw.add_block(
-            "index.meta",
-            persist::meta_block(self.config.hash_size, &self.hasher_name, nt),
-        );
         let mut values: Vec<(&str, &[PostingEntry])> =
             merged.iter().map(|(v, pl)| (*v, pl.as_slice())).collect();
-        persist::add_posting_blocks(&mut sw, &mut values, self.config.block_len);
-        sw.add_block("index.superkeys2", persist::superkeys_block(&sk));
-        let mut cw = Writer::new();
-        encode_claims(&claims, &mut cw);
-        sw.add_block("engine.claims", cw.finish());
-        let bytes = sw.finish();
-        write_file_atomic_vfs(self.vfs.as_ref(), &self.dir.join(seg_file(seg_id)), &bytes)
-            .map_err(|e| self.degrade(format!("segment {old_id} rebuild write failed: {e}")))?;
-
-        let layer = match self.open_paged_layer(seg_id, &bytes, claims) {
-            Ok(layer) => layer,
-            Err(e) => {
-                return Err(self.degrade(format!("segment {old_id} rebuild did not verify: {e}")))
-            }
-        };
-
-        // Commit point: the manifest names the rebuilt segment at the same
-        // stack position (masking order unchanged).
-        let metas: Vec<SegmentMeta> = self
-            .cold
-            .iter()
-            .enumerate()
-            .map(|(lj, l)| if lj == li { layer.meta() } else { l.meta() })
-            .collect();
-        self.manifest_for(metas, self.corpus_gen, self.corpus_delta_seq, self.wal_seq)
-            .save_vfs(self.vfs.as_ref(), &self.dir.join(MANIFEST_FILE))
+        let layer = self
+            .write_segment(&mut values, nt, persist::superkeys_block(&sk), &claims)
+            .map_err(|e| self.degrade(format!("segment {old_id} rebuild failed: {e}")))?;
+        let seg_id = layer.id;
+        // The rebuilt segment takes the corrupt one's stack position
+        // (masking order unchanged); the corrupt file goes once its last
+        // pin drops (a quarantine copy was preserved above).
+        let mut cold = self.cold.clone();
+        cold[li] = Arc::new(layer);
+        let checkpoint = (self.corpus_gen, self.corpus_delta_seq);
+        self.commit(cold, vec![corrupt], checkpoint, None)
             .map_err(|e| {
                 self.degrade(format!(
                     "segment {old_id} rebuild manifest flip failed: {e}"
                 ))
             })?;
-
-        // ---- commit -----------------------------------------------------
-        self.next_segment_id += 1;
-        let old_layer = std::mem::replace(&mut self.cold[li], Arc::new(layer));
-        // The corrupt file is gone once its last pin drops (a quarantine
-        // copy was preserved above); snapshots still serving the old layer
-        // keep the file until then.
-        old_layer.pin.doom();
-        drop(old_layer);
-        // Re-resolve ownership against the new stack (memtable ownership
-        // outranks cold claims and is untouched).
-        for owner in &mut self.owners {
-            if !matches!(owner, Owner::Mem) {
-                *owner = Owner::None;
-            }
-        }
-        for lj in 0..self.cold.len() {
-            for ci in 0..self.cold[lj].claims.len() {
-                let t = self.cold[lj].claims[ci].0 as usize;
-                if !matches!(self.owners[t], Owner::Mem) {
-                    self.owners[t] = Owner::Cold(lj as u32);
-                }
-            }
-        }
-        self.cold_live = self
-            .cold
-            .iter()
-            .enumerate()
-            .map(|(lj, l)| {
-                l.claims
-                    .iter()
-                    .filter(|(t, _)| self.owners[*t as usize] == Owner::Cold(lj as u32))
-                    .map(|(_, n)| *n as usize)
-                    .sum()
-            })
-            .collect();
         self.counters.segments_quarantined.inc();
         self.counters.segments_rebuilt.inc();
-        self.source_epoch += 1;
         self.config
             .obs
             .event("rebuild", format!("seg={old_id} rebuilt_as={seg_id}"));

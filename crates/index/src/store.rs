@@ -587,6 +587,37 @@ mod tests {
         PostingEntry::new(t, c, r)
     }
 
+    /// Sequential keys must keep the interner's probe chains short. Slots
+    /// come from the low bits of the Fx hash, so its `finish` has to mix a
+    /// value's later bytes into them; without that, keys that differ only
+    /// at the end (`key1`, `key2`, ...) pile into one cluster and indexing
+    /// a long column goes quadratic. Counts probes, never time.
+    #[test]
+    fn sequential_keys_keep_probe_chains_short() {
+        let keys: [fn(usize) -> String; 2] = [|i| format!("k{i}"), |i| format!("key_{i:08}")];
+        for key in keys {
+            let mut store = PostingStore::new();
+            for i in 0..100_000 {
+                store.intern(&key(i));
+            }
+            // A successful lookup probes from the value's home slot to the
+            // slot holding it: displacement + 1.
+            let mask = store.table.len() - 1;
+            let probes: usize = store
+                .table
+                .iter()
+                .enumerate()
+                .filter(|(_, &stored)| stored != EMPTY_SLOT)
+                .map(|(slot, &stored)| {
+                    let home = store.hashes[stored as usize - 1] as usize & mask;
+                    (slot.wrapping_sub(home) & mask) + 1
+                })
+                .sum();
+            let mean = probes as f64 / store.num_interned() as f64;
+            assert!(mean < 4.0, "{}: mean probe chain {mean:.1}", key(0));
+        }
+    }
+
     #[test]
     fn intern_dedups_without_leak() {
         let mut s = PostingStore::new();
