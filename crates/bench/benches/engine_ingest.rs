@@ -7,7 +7,7 @@
 //! latencies) — nothing here claims a parallel speedup.
 
 use mate_bench::{build_lakes, fmt_duration, Report};
-use mate_core::{discover_engine, MateConfig, MateDiscovery};
+use mate_core::{discover_snapshot, MateConfig, MateDiscovery};
 use mate_hash::{HashSize, Xash};
 use mate_index::engine::{Engine, EngineConfig};
 use mate_index::{IndexBuilder, WalRecord};
@@ -148,14 +148,21 @@ fn main() {
         let query_us_hot = time_queries(&mut |q, key| {
             MateDiscovery::new(corpus, &single, &hasher).discover(q, key, 10)
         });
-        let query_us_merged =
-            time_queries(&mut |q, key| discover_engine(&engine, MateConfig::default(), q, key, 10));
+        let query_us_merged = time_queries(&mut |q, key| {
+            discover_snapshot(&engine.snapshot(), MateConfig::default(), q, key, 10)
+        });
 
         // Identity guard: the bench refuses to report numbers for a broken
         // engine.
         for q in queries.iter().take(1) {
             let hot = MateDiscovery::new(corpus, &single, &hasher).discover(&q.table, &q.key, 10);
-            let merged = discover_engine(&engine, MateConfig::default(), &q.table, &q.key, 10);
+            let merged = discover_snapshot(
+                &engine.snapshot(),
+                MateConfig::default(),
+                &q.table,
+                &q.key,
+                10,
+            );
             assert_eq!(hot.top_k, merged.top_k, "engine/hot identity violated");
         }
 
@@ -237,7 +244,9 @@ fn main() {
     report.note(
         "ingest is fully WAL-durable: one fsync per record (see engine_lake for group commit)",
     );
-    report.note("merged query latency includes per-query source construction + cold block decode");
+    report.note(
+        "merged queries share the engine snapshot's memo; latency includes cold block decode",
+    );
     report.note("identity asserted: merged top-k == single-shot hot top-k before reporting");
     report.note("single-core metrics only (rows/s, counts, per-op latency); no parallel claims");
     report.note(format!(

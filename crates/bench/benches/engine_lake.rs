@@ -1,5 +1,5 @@
 //! EngineLake bench: group-commit ingest vs per-record fsync, and
-//! cached-source query latency vs per-query source construction.
+//! query latency over the published snapshot.
 //!
 //! Emits a machine-readable `BENCH_engine_lake.json` (path overridable via
 //! `MATE_BENCH_JSON`). The headline comparisons are **fsync counts**, not
@@ -12,10 +12,10 @@
 //!   bench asserts the grouped path needs ≤ half the fsyncs of the
 //!   baseline (it needs ~`1/GROUP` of them).
 //!
-//! Query latency is wall clock (informational on a busy CI box), but the
-//! cache hit/miss counters beside it are exact, and top-k identity
-//! between the cached and uncached paths is asserted before anything is
-//! reported.
+//! Query latency is wall clock (informational on a busy CI box); the memo
+//! hit count beside it is exact, and top-k identity between
+//! `discover_lake` and `discover_snapshot` over a held reader is asserted
+//! before anything is reported.
 //!
 //! **Flush-stall section**: measures query latency *while a flush runs
 //! concurrently* and how long a flush takes *while a reader snapshot is
@@ -78,13 +78,11 @@ struct CorpusRow {
     flushes: u64,
     compactions: u64,
     segments: usize,
-    query_us_fresh: f64,
-    query_us_cached: f64,
+    query_us: f64,
     query_p50_us: u64,
     query_p95_us: u64,
     query_p99_us: u64,
-    cache_hits: u64,
-    cache_misses: u64,
+    memo_hits: u64,
     query_us_during_flush: f64,
     flush_ms_with_open_reader: f64,
     snapshot_lag_observed: u64,
@@ -171,7 +169,7 @@ fn main() {
         );
         let stats = lake.stats();
 
-        // ---- queries: per-query source construction vs shared cache -----
+        // ---- queries over the published snapshot ------------------------
         let queries: Vec<_> = lakes
             .iter_sets()
             .filter(|(_, c)| std::ptr::eq(*c, corpus))
@@ -179,7 +177,7 @@ fn main() {
             .collect();
 
         // Identity guard first: the bench refuses to report numbers for a
-        // cached path that returns different bits.
+        // lake path that returns different bits from a held snapshot.
         for q in &queries {
             let reader = lake.reader();
             let fresh = discover_snapshot(
@@ -190,45 +188,23 @@ fn main() {
                 10,
             );
             drop(reader);
-            let cached = discover_lake(&lake, MateConfig::default(), &q.table, &q.key, 10);
-            assert_eq!(fresh.top_k, cached.top_k, "cached/uncached identity");
+            let lake_r = discover_lake(&lake, MateConfig::default(), &q.table, &q.key, 10);
+            assert_eq!(fresh.top_k, lake_r.top_k, "lake/snapshot identity");
         }
 
-        let time_queries = |mut f: Box<dyn FnMut(&mate_lake::GeneratedQuery) -> usize>| -> f64 {
-            let t = Instant::now();
-            let mut hits = 0usize;
-            for _ in 0..QUERY_REPS {
-                for q in &queries {
-                    hits += f(q);
-                }
+        let h0 = lake.source_cache().hits();
+        let t = Instant::now();
+        let mut hits = 0usize;
+        for _ in 0..QUERY_REPS {
+            for q in &queries {
+                hits += discover_lake(&lake, MateConfig::default(), &q.table, &q.key, 10)
+                    .top_k
+                    .len();
             }
-            std::hint::black_box(hits);
-            t.elapsed().as_secs_f64() * 1e6 / (queries.len() * QUERY_REPS).max(1) as f64
-        };
-        let query_us_fresh = {
-            let reader = lake.reader();
-            let snapshot = reader.snapshot();
-            let t = Instant::now();
-            let mut hits = 0usize;
-            for _ in 0..QUERY_REPS {
-                for q in &queries {
-                    hits +=
-                        discover_snapshot(snapshot, MateConfig::default(), &q.table, &q.key, 10)
-                            .top_k
-                            .len();
-                }
-            }
-            std::hint::black_box(hits);
-            t.elapsed().as_secs_f64() * 1e6 / (queries.len() * QUERY_REPS).max(1) as f64
-        };
-        let (h0, m0) = (lake.source_cache().hits(), lake.source_cache().misses());
-        let query_us_cached = time_queries(Box::new(|q| {
-            discover_lake(&lake, MateConfig::default(), &q.table, &q.key, 10)
-                .top_k
-                .len()
-        }));
-        let cache_hits = lake.source_cache().hits() - h0;
-        let cache_misses = lake.source_cache().misses() - m0;
+        }
+        std::hint::black_box(hits);
+        let query_us = t.elapsed().as_secs_f64() * 1e6 / (queries.len() * QUERY_REPS).max(1) as f64;
+        let memo_hits = lake.source_cache().hits() - h0;
         // Per-query latency quantiles straight from the lake's obs hub:
         // every `discover_lake` call above recorded a `discovery` span
         // into its `span_us.discovery` histogram.
@@ -444,13 +420,11 @@ fn main() {
             flushes: stats.flushes,
             compactions: stats.compactions,
             segments: stats.cold_segments,
-            query_us_fresh,
-            query_us_cached,
+            query_us,
             query_p50_us: query_q.quantile(0.50),
             query_p95_us: query_q.quantile(0.95),
             query_p99_us: query_q.quantile(0.99),
-            cache_hits,
-            cache_misses,
+            memo_hits,
             query_us_during_flush,
             flush_ms_with_open_reader,
             snapshot_lag_observed,
@@ -467,7 +441,7 @@ fn main() {
 
     // ---- human-readable report -----------------------------------------
     let mut report = Report::new(
-        "EngineLake: group-commit ingest + cached-source serving",
+        "EngineLake: group-commit ingest + snapshot serving",
         &[
             "Corpus",
             "Tables",
@@ -480,9 +454,8 @@ fn main() {
             "Flushes",
             "Tiered",
             "Segs",
-            "Query fresh",
-            "Query cached",
-            "Hits",
+            "Query",
+            "Memo hits",
             "Query @flush",
             "Flush w/reader",
         ],
@@ -500,9 +473,8 @@ fn main() {
             r.flushes.to_string(),
             r.compactions.to_string(),
             r.segments.to_string(),
-            format!("{:.0}us", r.query_us_fresh),
-            format!("{:.0}us", r.query_us_cached),
-            r.cache_hits.to_string(),
+            format!("{:.0}us", r.query_us),
+            r.memo_hits.to_string(),
             format!("{:.0}us", r.query_us_during_flush),
             format!("{:.1}ms", r.flush_ms_with_open_reader),
         ]);
@@ -511,8 +483,7 @@ fn main() {
         "grouped ingest batches {GROUP} records per durability wait (EngineLake::apply_many)"
     ));
     report.note("fsync counts are exact and container-independent; x = per-record/grouped");
-    report.note("cached queries resolve cold runs once per epoch via the shared SourceCache");
-    report.note("identity asserted: cached top-k == per-query-source top-k before reporting");
+    report.note("identity asserted: lake top-k == held-snapshot top-k before reporting");
     report.note(
         "flush-stall section: queries ran on a pre-flush snapshot WHILE the flush executed; \
          pre-snapshot (guard) serving deadlocked this configuration outright",
@@ -578,9 +549,9 @@ fn main() {
              \"commit_p99_us\": {}, \"grouped_ingest_secs\": {:.4}, \
              \"grouped_rows_per_s\": {:.1}, \"grouped_fsyncs\": {}, \"fsync_ratio\": {:.2}, \
              \"flushes\": {}, \"tiered_compactions\": {}, \"cold_segments\": {}, \
-             \"query_us_fresh_source\": {:.1}, \"query_us_cached_source\": {:.1}, \
+             \"query_us\": {:.1}, \
              \"query_p50_us\": {}, \"query_p95_us\": {}, \"query_p99_us\": {}, \
-             \"cache_hits\": {}, \"cache_misses\": {}, \
+             \"memo_hits\": {}, \
              \"query_us_during_flush\": {:.1}, \"flush_ms_with_open_reader\": {:.2}, \
              \"snapshot_lag_observed\": {}, \
              \"multi_writer_ingest_secs\": {:.4}, \"multi_writer_rows_per_s\": {:.1}, \
@@ -603,13 +574,11 @@ fn main() {
             r.flushes,
             r.compactions,
             r.segments,
-            r.query_us_fresh,
-            r.query_us_cached,
+            r.query_us,
             r.query_p50_us,
             r.query_p95_us,
             r.query_p99_us,
-            r.cache_hits,
-            r.cache_misses,
+            r.memo_hits,
             r.query_us_during_flush,
             r.flush_ms_with_open_reader,
             r.snapshot_lag_observed,

@@ -7,68 +7,40 @@
 //! bit-identical to a single-shot built index at every flush state
 //! (property-tested in `tests/engine_discovery.rs`).
 //!
-//! Three entry points: [`discover_engine`] for an exclusively-held
-//! [`Engine`] (fresh source per query), [`discover_snapshot`] for an owned
-//! [`EngineSnapshot`] (lock-free, immune to concurrent writes), and
+//! Two entry points: [`discover_snapshot`] for an owned
+//! [`EngineSnapshot`] — an exclusively-held [`Engine`](mate_index::Engine)
+//! serves through `discover_snapshot(&engine.snapshot(), …)` — and
 //! [`discover_lake`] for a shared [`EngineLake`] (takes the current
-//! snapshot, resolves cold runs through the lake's shared cache). Each
-//! returns a [`DiscoveryResult`] whose `stats.profile()` yields the query's
+//! published snapshot). Both resolve through the snapshot's memo, so the
+//! queries served by one snapshot share resolutions. Each returns a
+//! [`DiscoveryResult`] whose `stats.profile()` yields the query's
 //! [`QueryProfile`](mate_obs::QueryProfile) at no extra measurement cost.
 //!
 //! [`MergedSource`]: mate_index::MergedSource
 
 use crate::config::MateConfig;
 use crate::discovery::{DiscoveryResult, MateDiscovery};
-use mate_index::engine::{Engine, EngineLake, EngineSnapshot};
+use mate_index::engine::{EngineLake, EngineSnapshot};
 use mate_table::{ColId, Table};
-
-/// Runs a top-k discovery over an engine's merged (memtable + cold
-/// segments) view. Constructs a fresh [`mate_index::MergedSource`] snapshot
-/// for the query; batch callers that issue many queries against an
-/// unchanged engine can instead hold one `engine.source()` and use
-/// [`MateDiscovery::from_parts`] directly to share the resolved-list cache.
-///
-/// [`DiscoveryStats::source_layers`](crate::stats::DiscoveryStats::source_layers)
-/// is set to the number of layers that served the query.
-pub fn discover_engine(
-    engine: &Engine,
-    config: MateConfig,
-    query: &Table,
-    q_cols: &[ColId],
-    k: usize,
-) -> DiscoveryResult {
-    let source = engine.source();
-    let hasher = engine.hasher();
-    let mut result = MateDiscovery::from_parts(
-        engine.corpus(),
-        &source,
-        engine.superkeys(),
-        &hasher,
-        config,
-    )
-    .discover(query, q_cols, k);
-    result.stats.source_layers = engine.num_layers();
-    result
-}
 
 /// Runs a top-k discovery over an owned [`EngineSnapshot`] — the lock-free
 /// serving path. The snapshot pins corpus, layer stack, and super keys
 /// together, so the query is immune to concurrent flushes, compactions,
-/// and ingest, and results are bit-identical to [`discover_engine`] on the
-/// engine state the snapshot was taken from. Batch callers holding one
-/// snapshot across many queries share nothing but the immutable data;
-/// each call builds a fresh merged view (use
-/// [`MateDiscovery::from_parts`] with one
-/// [`EngineSnapshot::source`] to also share the resolved-list cache).
+/// and ingest, and results are bit-identical to a single-shot index over
+/// the snapshot's corpus. The query resolves through the snapshot's memo,
+/// shared with every other query served by the same snapshot.
 ///
-/// Sets [`DiscoveryStats::snapshot_epoch`] to the snapshot's source epoch
-/// ([`DiscoveryStats::snapshot_lag`] stays 0 — a bare snapshot has no
-/// "current" state to compare against; [`discover_lake`] fills it in),
-/// and records [`DiscoveryStats::pager_hits`] / `pager_misses` deltas —
-/// the page-cache traffic the query's cold probes generated.
+/// Sets [`DiscoveryStats::source_layers`] and
+/// [`DiscoveryStats::snapshot_epoch`] ([`DiscoveryStats::snapshot_lag`]
+/// stays 0 — a bare snapshot has no "current" state to compare against;
+/// [`discover_lake`] fills it in), and records the query's
+/// [`DiscoveryStats::cold_cache_hits`] / `cold_cache_misses` and
+/// [`DiscoveryStats::pager_hits`] / `pager_misses` deltas.
 ///
+/// [`DiscoveryStats::source_layers`]: crate::stats::DiscoveryStats::source_layers
 /// [`DiscoveryStats::snapshot_epoch`]: crate::stats::DiscoveryStats::snapshot_epoch
 /// [`DiscoveryStats::snapshot_lag`]: crate::stats::DiscoveryStats::snapshot_lag
+/// [`DiscoveryStats::cold_cache_hits`]: crate::stats::DiscoveryStats::cold_cache_hits
 /// [`DiscoveryStats::pager_hits`]: crate::stats::DiscoveryStats::pager_hits
 pub fn discover_snapshot(
     snapshot: &EngineSnapshot,
@@ -79,6 +51,8 @@ pub fn discover_snapshot(
 ) -> DiscoveryResult {
     let source = snapshot.source();
     let hasher = snapshot.hasher();
+    let memo = snapshot.source_cache();
+    let (hits0, misses0) = (memo.hits(), memo.misses());
     let pager0 = snapshot.pager_stats();
     let mut result = MateDiscovery::from_parts(
         snapshot.corpus(),
@@ -90,6 +64,8 @@ pub fn discover_snapshot(
     .discover(query, q_cols, k);
     result.stats.source_layers = snapshot.num_layers();
     result.stats.snapshot_epoch = snapshot.source_epoch();
+    result.stats.cold_cache_hits = memo.hits().saturating_sub(hits0);
+    result.stats.cold_cache_misses = memo.misses().saturating_sub(misses0);
     let pager1 = snapshot.pager_stats();
     result.stats.pager_hits = pager1.hits.saturating_sub(pager0.hits);
     result.stats.pager_misses = pager1.misses.saturating_sub(pager0.misses);
@@ -98,24 +74,14 @@ pub fn discover_snapshot(
 
 /// Runs a top-k discovery over an [`EngineLake`]: clones the published
 /// snapshot (no engine lock — returns promptly even mid-flush, and never
-/// delays writers) and probes it through the lake's shared
-/// [`SourceCache`](mate_index::SourceCache), so cold-layer resolutions
-/// are amortized **across queries** instead of reconstructed per query —
-/// the cache keys itself by source epoch, and results are bit-identical
-/// to [`discover_engine`] on the same snapshot (property-tested in
-/// `tests/engine_lake.rs`).
-///
-/// Sets [`DiscoveryStats::source_layers`], the snapshot-age counters
-/// [`DiscoveryStats::snapshot_epoch`] / `snapshot_lag` (how many
+/// delays writers) and runs [`discover_snapshot`] over it, so the queries
+/// served by one published snapshot share its memo (property-tested
+/// bit-identical in `tests/engine_lake.rs`). Queries record into the
+/// lake's obs hub, and [`DiscoveryStats::snapshot_lag`] says how many
 /// structural changes the served snapshot fell behind the published state
-/// by query end), plus [`DiscoveryStats::cold_cache_hits`] /
-/// `cold_cache_misses` and [`DiscoveryStats::pager_hits`] /
-/// `pager_misses` deltas for this query.
+/// by query end.
 ///
-/// [`DiscoveryStats::source_layers`]: crate::stats::DiscoveryStats::source_layers
-/// [`DiscoveryStats::snapshot_epoch`]: crate::stats::DiscoveryStats::snapshot_epoch
-/// [`DiscoveryStats::cold_cache_hits`]: crate::stats::DiscoveryStats::cold_cache_hits
-/// [`DiscoveryStats::pager_hits`]: crate::stats::DiscoveryStats::pager_hits
+/// [`DiscoveryStats::snapshot_lag`]: crate::stats::DiscoveryStats::snapshot_lag
 pub fn discover_lake(
     lake: &EngineLake,
     mut config: MateConfig,
@@ -129,28 +95,10 @@ pub fn discover_lake(
     config.obs = std::sync::Arc::clone(lake.obs_handle());
     let reader = lake.reader();
     let snapshot = reader.snapshot();
-    let source = reader.source();
-    let hasher = snapshot.hasher();
-    let (hits0, misses0) = (lake.source_cache().hits(), lake.source_cache().misses());
-    let pager0 = snapshot.pager_stats();
-    let mut result = MateDiscovery::from_parts(
-        snapshot.corpus(),
-        &source,
-        snapshot.superkeys(),
-        &hasher,
-        config,
-    )
-    .discover(query, q_cols, k);
-    result.stats.source_layers = snapshot.num_layers();
-    result.stats.snapshot_epoch = snapshot.source_epoch();
+    let mut result = discover_snapshot(snapshot, config, query, q_cols, k);
     result.stats.snapshot_lag = lake
         .published_epoch()
         .saturating_sub(snapshot.source_epoch());
-    result.stats.cold_cache_hits = lake.source_cache().hits().saturating_sub(hits0);
-    result.stats.cold_cache_misses = lake.source_cache().misses().saturating_sub(misses0);
-    let pager1 = snapshot.pager_stats();
-    result.stats.pager_hits = pager1.hits.saturating_sub(pager0.hits);
-    result.stats.pager_misses = pager1.misses.saturating_sub(pager0.misses);
     result
 }
 
@@ -158,7 +106,7 @@ pub fn discover_lake(
 mod tests {
     use super::*;
     use mate_hash::{HashSize, Xash};
-    use mate_index::engine::EngineConfig;
+    use mate_index::engine::{Engine, EngineConfig};
     use mate_index::IndexBuilder;
     use mate_table::TableBuilder;
 
@@ -191,21 +139,19 @@ mod tests {
         let fresh = IndexBuilder::new(Xash::new(HashSize::B128)).build(engine.corpus());
         let hasher = Xash::new(HashSize::B128);
         let single = MateDiscovery::new(engine.corpus(), &fresh, &hasher).discover(&query, &key, 3);
-        let merged = discover_engine(&engine, MateConfig::default(), &query, &key, 3);
+        let merged = discover_snapshot(&engine.snapshot(), MateConfig::default(), &query, &key, 3);
         assert_eq!(single.top_k, merged.top_k);
         assert_eq!(merged.stats.source_layers, engine.num_layers());
         assert!(merged.stats.source_layers > 1, "flushes built cold layers");
+        assert!(merged.stats.cold_cache_misses > 0, "first query fills");
 
-        // The lake path returns the same results and amortizes the cold
-        // walk: a repeated query hits the shared cache.
+        // The lake publishes the engine's cached snapshot, so its queries
+        // resolve through the memo the engine query filled.
         let lake = mate_index::EngineLake::new(engine);
         let first = discover_lake(&lake, MateConfig::default(), &query, &key, 3);
         assert_eq!(first.top_k, single.top_k);
-        assert!(first.stats.cold_cache_misses > 0, "first query fills");
-        let second = discover_lake(&lake, MateConfig::default(), &query, &key, 3);
-        assert_eq!(second.top_k, single.top_k);
-        assert!(second.stats.cold_cache_hits > 0, "repeat query hits");
-        assert_eq!(second.stats.cold_cache_misses, 0, "nothing left to fill");
+        assert!(first.stats.cold_cache_hits > 0, "repeat query hits");
+        assert_eq!(first.stats.cold_cache_misses, 0, "nothing left to fill");
         std::fs::remove_dir_all(dir).ok();
     }
 

@@ -39,7 +39,7 @@ pub mod topk;
 
 pub use config::{InitColumnHeuristic, MateConfig};
 pub use discovery::{DiscoveryResult, MateDiscovery, TableResult};
-pub use engine_query::{discover_engine, discover_lake, discover_snapshot};
+pub use engine_query::{discover_lake, discover_snapshot};
 pub use joinability::verify_table_joinability;
 pub use stats::{export_discovery_stats, DiscoveryStats, WorkerStats};
 pub use topk::TopK;

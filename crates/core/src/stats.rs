@@ -96,20 +96,22 @@ pub struct DiscoveryStats {
     /// Posting layers that served the query: 0 when probing a plain
     /// hot/cold index directly, `cold segments + memtable shards` when
     /// running over the multi-segment engine (set by
-    /// [`crate::engine_query::discover_engine`]; the shard count is
+    /// [`crate::engine_query::discover_snapshot`]; the shard count is
     /// [`EngineConfig::apply_shards`](mate_index::engine::EngineConfig::apply_shards)).
     pub source_layers: usize,
-    /// Cold-layer resolutions answered by the lake's shared
-    /// [`SourceCache`](mate_index::SourceCache) during this query (set by
-    /// [`crate::engine_query::discover_lake`]; approximate when other
-    /// queries run concurrently — the cache counters are lake-global).
+    /// Merged-list resolutions answered by the serving snapshot's memo
+    /// during this query, repeats within the query included (set by
+    /// [`crate::engine_query::discover_snapshot`]; approximate when other
+    /// queries run concurrently — the
+    /// [`SourceCache`](mate_index::SourceCache) counters are
+    /// engine-global).
     pub cold_cache_hits: u64,
-    /// Cold-layer resolutions that had to walk the segment stack (see
-    /// [`DiscoveryStats::cold_cache_hits`]).
+    /// Resolutions that had to walk the layer stack and filled the memo
+    /// (see [`DiscoveryStats::cold_cache_hits`]).
     pub cold_cache_misses: u64,
     /// Page-cache hits while faulting cold segment bytes in during this
-    /// query (set by [`crate::engine_query::discover_lake`]; approximate
-    /// under concurrency — the pager counters are engine-global, like
+    /// query (set by [`crate::engine_query::discover_snapshot`];
+    /// approximate under concurrency — the pager counters are engine-global, like
     /// [`DiscoveryStats::cold_cache_hits`]). 0 when every cold layer the
     /// query touched was resident, or when probing a plain index.
     pub pager_hits: u64,

@@ -3,7 +3,7 @@
 //! N flushes, after compaction, and after crash recovery — including
 //! workloads with updates and deletes.
 
-use mate_core::{discover_engine, discover_lake, MateConfig, MateDiscovery};
+use mate_core::{discover_lake, discover_snapshot, MateConfig, MateDiscovery};
 use mate_hash::{HashSize, Xash};
 use mate_index::engine::{Engine, EngineConfig, EngineLake};
 use mate_index::{IndexBuilder, WalRecord};
@@ -110,7 +110,13 @@ fn assert_equivalent(engine: &Engine, query: &GeneratedQuery, k: usize) {
     let fresh = IndexBuilder::new(hasher).build(engine.corpus());
     let single =
         MateDiscovery::new(engine.corpus(), &fresh, &hasher).discover(&query.table, &query.key, k);
-    let merged = discover_engine(engine, MateConfig::default(), &query.table, &query.key, k);
+    let merged = discover_snapshot(
+        &engine.snapshot(),
+        MateConfig::default(),
+        &query.table,
+        &query.key,
+        k,
+    );
     assert_eq!(single.top_k, merged.top_k);
     assert_eq!(single.stats.initial_column, merged.stats.initial_column);
     assert_eq!(single.stats.pl_lists_fetched, merged.stats.pl_lists_fetched);

@@ -563,3 +563,70 @@ fn writer_completes_bounded_batch_under_saturated_readers() {
     assert_eq!(lake.reader().snapshot().corpus().len(), corpus.len());
     std::fs::remove_dir_all(dir).ok();
 }
+
+/// The memo lives in the published snapshot: queries served by one
+/// snapshot share its resolutions, a write batch republishes a snapshot
+/// whose memo starts empty, and a reader still holding the old snapshot
+/// keeps answering from it bit-identically.
+#[test]
+fn memo_lives_and_dies_with_the_published_snapshot() {
+    let (corpus, query) = build_lake(11, 10, 2);
+    let dir = tmpdir("memo");
+    let cfg = EngineConfig {
+        memtable_budget_bytes: 4096,
+        max_cold_segments: 0,
+        ..EngineConfig::default()
+    };
+    let lake = EngineLake::create(dir.join("lake"), cfg).unwrap();
+    lake.apply_many(
+        corpus
+            .iter()
+            .map(|(_, t)| WalRecord::InsertTable { table: t.clone() }),
+    )
+    .unwrap();
+    assert!(lake.stats().cold_segments > 0, "budget must force flushes");
+    let run = || discover_lake(&lake, MateConfig::default(), &query.table, &query.key, 3);
+
+    let first = run();
+    assert!(first.stats.cold_cache_misses > 0, "first query fills");
+    let second = run();
+    assert_eq!(second.top_k, first.top_k);
+    assert!(second.stats.cold_cache_hits > 0, "repeat query hits");
+    assert_eq!(
+        second.stats.cold_cache_misses, 0,
+        "same snapshot, same memo"
+    );
+
+    // A write batch republishes: the next query resolves afresh.
+    let old = lake.reader();
+    let cells = (0..corpus.table(TableId(0)).num_cols())
+        .map(|c| format!("memo-{c}"))
+        .collect();
+    lake.apply_many([WalRecord::InsertRow {
+        table: TableId(0),
+        cells,
+    }])
+    .unwrap();
+    let third = run();
+    assert!(
+        third.stats.cold_cache_misses > 0,
+        "republished memo starts empty"
+    );
+
+    // The held reader still answers from its own snapshot and memo.
+    let pinned = discover_snapshot(
+        old.snapshot(),
+        MateConfig::default(),
+        &query.table,
+        &query.key,
+        3,
+    );
+    assert_eq!(pinned.top_k, first.top_k);
+    assert_eq!(pinned.stats.pl_items_fetched, first.stats.pl_items_fetched);
+    assert_eq!(pinned.stats.candidate_tables, first.stats.candidate_tables);
+    assert_eq!(
+        pinned.stats.cold_cache_misses, 0,
+        "old snapshot keeps its memo"
+    );
+    std::fs::remove_dir_all(dir).ok();
+}

@@ -7,7 +7,7 @@
 //! boundary and mid-record, reopen, and require the recovered engine to be
 //! discovery-bit-identical to an engine that was never killed.
 
-use mate_core::{discover_engine, MateConfig};
+use mate_core::{discover_snapshot, MateConfig};
 use mate_index::engine::{Engine, EngineConfig, EngineError, EngineLake};
 use mate_index::WalRecord;
 use mate_lake::{CorpusProfile, GeneratedQuery, LakeGenerator, LakeSpec, QuerySpec};
@@ -81,8 +81,20 @@ fn assert_engines_identical(a: &Engine, b: &Engine, query: &GeneratedQuery) {
         assert_eq!(ta, b.corpus().table(tid), "corpus table {tid}");
     }
     assert_eq!(a.live_postings(), b.live_postings());
-    let ra = discover_engine(a, MateConfig::default(), &query.table, &query.key, 5);
-    let rb = discover_engine(b, MateConfig::default(), &query.table, &query.key, 5);
+    let ra = discover_snapshot(
+        &a.snapshot(),
+        MateConfig::default(),
+        &query.table,
+        &query.key,
+        5,
+    );
+    let rb = discover_snapshot(
+        &b.snapshot(),
+        MateConfig::default(),
+        &query.table,
+        &query.key,
+        5,
+    );
     assert_eq!(ra.top_k, rb.top_k);
     assert_eq!(ra.stats.pl_items_fetched, rb.stats.pl_items_fetched);
     assert_eq!(ra.stats.candidate_tables, rb.stats.candidate_tables);
@@ -90,6 +102,36 @@ fn assert_engines_identical(a: &Engine, b: &Engine, query: &GeneratedQuery) {
         ra.stats.rows_verified_joinable,
         rb.stats.rows_verified_joinable
     );
+}
+
+/// A corrupt link of the checkpoint delta chain fails the reopen with an
+/// error that names the file, not a generic frame error.
+#[test]
+fn corrupt_delta_record_error_names_its_file() {
+    let (records, _query) = lake_workload(13);
+    let dir = tmpdir("cdelta-name");
+    {
+        let mut e = Engine::create(&dir, config(1 << 30)).unwrap();
+        for r in records.iter().take(4) {
+            e.apply(r.clone()).unwrap();
+        }
+        e.flush().unwrap();
+    }
+    let name = "cdelta-00000000-00000001.seg";
+    let path = dir.join(name);
+    let mut bytes = std::fs::read(&path).unwrap();
+    let last = bytes.len() - 1;
+    bytes[last] ^= 0x01;
+    std::fs::write(&path, &bytes).unwrap();
+
+    let Err(err) = Engine::open(&dir, config(1 << 30)) else {
+        panic!("a corrupt delta record must fail the reopen");
+    };
+    assert!(
+        err.to_string().contains(name),
+        "error does not name {name}: {err}"
+    );
+    std::fs::remove_dir_all(dir).ok();
 }
 
 /// Kill with WAL synced and *no flush* at every record boundary: reopening

@@ -8,7 +8,7 @@
 //! of a random byte of a random cold segment of a Zipf-distributed lake
 //! and requires exactly that.
 
-use mate_core::{discover_engine, MateConfig};
+use mate_core::{discover_snapshot, MateConfig};
 use mate_index::engine::{Engine, EngineConfig, EngineError, EngineLake};
 use mate_index::WalRecord;
 use mate_lake::{CorpusProfile, GeneratedQuery, LakeGenerator, LakeSpec, QuerySpec};
@@ -78,8 +78,20 @@ fn assert_engines_identical(a: &Engine, b: &Engine, query: &GeneratedQuery) {
         assert_eq!(ta, b.corpus().table(tid), "corpus table {tid}");
     }
     assert_eq!(a.live_postings(), b.live_postings());
-    let ra = discover_engine(a, MateConfig::default(), &query.table, &query.key, 5);
-    let rb = discover_engine(b, MateConfig::default(), &query.table, &query.key, 5);
+    let ra = discover_snapshot(
+        &a.snapshot(),
+        MateConfig::default(),
+        &query.table,
+        &query.key,
+        5,
+    );
+    let rb = discover_snapshot(
+        &b.snapshot(),
+        MateConfig::default(),
+        &query.table,
+        &query.key,
+        5,
+    );
     assert_eq!(ra.top_k, rb.top_k);
     assert_eq!(ra.stats.pl_items_fetched, rb.stats.pl_items_fetched);
     assert_eq!(ra.stats.candidate_tables, rb.stats.candidate_tables);
@@ -460,6 +472,88 @@ fn fault_sweep_over_scrub_heal_and_rebuild() {
                 assert!(n > 20, "sweep ended after only {n} ops");
                 break;
             }
+        }
+    }
+    std::fs::remove_dir_all(base).ok();
+}
+
+/// The `corpus_gen` the on-disk manifest names (the checkpoint generation).
+fn checkpoint_gen(dir: &Path) -> u64 {
+    mate_index::engine::Manifest::load(dir.join("MANIFEST"))
+        .unwrap()
+        .corpus_gen
+}
+
+/// A failed read is an I/O error, not corruption. Over a clean lake, fail
+/// the Nth read of one scrub, for every N: the scrub either passes clean
+/// or returns the typed I/O error — it never quarantines a segment,
+/// rewrites the checkpoint, or counts a corruption — and a fault-free
+/// scrub afterwards still finds nothing while discovery stays
+/// bit-identical.
+#[test]
+fn read_fault_sweep_over_a_clean_scrub_heals_nothing() {
+    use mate_storage::vfs::{Fault, FaultMode, OpClass};
+
+    let (records, query) = lake_workload(157);
+    let base = tmpdir("readfault");
+    let mut control = Engine::create(base.join("control"), config(1 << 30)).unwrap();
+    for r in &records {
+        control.apply(r.clone()).unwrap();
+    }
+
+    let dir = base.join("victim");
+    let fault = Arc::new(FaultVfs::new());
+    let cfg = EngineConfig {
+        vfs: Arc::new(Arc::clone(&fault)),
+        ..config(1000)
+    };
+    let mut e = Engine::create(&dir, cfg).unwrap();
+    for r in &records {
+        e.apply(r.clone()).unwrap();
+    }
+    e.flush().unwrap();
+    assert!(e.num_cold_segments() >= 4, "budget must force flushes");
+    let gen = checkpoint_gen(&dir);
+
+    let mut n = 0u64;
+    loop {
+        n += 1;
+        let injected = fault.injected();
+        fault.arm(Fault {
+            class: OpClass::Read,
+            nth: n,
+            mode: FaultMode::Error(std::io::ErrorKind::Other),
+            sticky: false,
+        });
+        let first = e.scrub();
+        let fired = fault.injected() > injected;
+        fault.disarm_all();
+        match &first {
+            Ok(report) => assert_eq!(report.corruptions_found, 0, "read {n}: {report:?}"),
+            Err(err) => assert!(
+                matches!(err, EngineError::IoAt { .. }),
+                "read {n}: scrub error is not the read fault: {err:?}"
+            ),
+        }
+        assert!(e.degraded_reason().is_none(), "read {n}: degraded");
+        assert!(
+            !dir.join("quarantine").exists()
+                || std::fs::read_dir(dir.join("quarantine"))
+                    .unwrap()
+                    .next()
+                    .is_none(),
+            "read {n}: a segment was quarantined"
+        );
+        assert_eq!(checkpoint_gen(&dir), gen, "read {n}: checkpoint rewritten");
+        assert_eq!(e.stats().scrub_corruptions_found, 0, "read {n}");
+
+        let clean = e.scrub().unwrap();
+        assert_eq!(clean.corruptions_found, 0, "read {n}: clean scrub");
+        assert_engines_identical(&e, &control, &query);
+        if !fired {
+            assert!(first.is_ok());
+            assert!(n > 4, "sweep ended after only {n} reads");
+            break;
         }
     }
     std::fs::remove_dir_all(base).ok();

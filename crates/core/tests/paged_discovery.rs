@@ -5,7 +5,7 @@
 //! exceeding the budget; and an injected `pread`-fill fault surfaces as a
 //! typed error or is absorbed by the probe retry, never as a panic.
 
-use mate_core::{discover_engine, discover_lake, MateConfig, MateDiscovery};
+use mate_core::{discover_lake, discover_snapshot, MateConfig, MateDiscovery};
 use mate_hash::{HashSize, Xash};
 use mate_index::engine::{Engine, EngineConfig, EngineError};
 use mate_index::{EngineLake, IndexBuilder, WalRecord};
@@ -94,7 +94,13 @@ fn assert_equivalent(engine: &Engine, query: &GeneratedQuery, k: usize) {
     let fresh = IndexBuilder::new(hasher).build(engine.corpus());
     let single =
         MateDiscovery::new(engine.corpus(), &fresh, &hasher).discover(&query.table, &query.key, k);
-    let paged = discover_engine(engine, MateConfig::default(), &query.table, &query.key, k);
+    let paged = discover_snapshot(
+        &engine.snapshot(),
+        MateConfig::default(),
+        &query.table,
+        &query.key,
+        k,
+    );
     assert_eq!(single.top_k, paged.top_k);
     assert_eq!(single.stats.initial_column, paged.stats.initial_column);
     assert_eq!(single.stats.pl_lists_fetched, paged.stats.pl_lists_fetched);
@@ -203,8 +209,13 @@ fn pread_fill_fault_sweep_never_panics_and_retries_converge() {
             }
             Ok(engine) => {
                 let fired_during_open = fault.injected() > 0;
-                let r =
-                    discover_engine(&engine, MateConfig::default(), &query.table, &query.key, 3);
+                let r = discover_snapshot(
+                    &engine.snapshot(),
+                    MateConfig::default(),
+                    &query.table,
+                    &query.key,
+                    3,
+                );
                 assert_eq!(r.top_k, control.top_k, "op {n}: faulted run diverged");
                 if fault.injected() == 0 {
                     // N is past the whole workload's operation count.
@@ -249,11 +260,17 @@ fn lake_4x_budget_serves_bit_identical_under_ceiling() {
     let single =
         MateDiscovery::new(engine.corpus(), &fresh, &hasher).discover(&query.table, &query.key, 5);
 
-    // Repeated queries through fresh merged views: later rounds re-probe
+    // Repeated queries over the engine's snapshot: later rounds re-read
     // the same pages, so the cache must show both misses and hits while
     // the ceiling holds on every check.
     for _ in 0..3 {
-        let paged = discover_engine(&engine, MateConfig::default(), &query.table, &query.key, 5);
+        let paged = discover_snapshot(
+            &engine.snapshot(),
+            MateConfig::default(),
+            &query.table,
+            &query.key,
+            5,
+        );
         assert_eq!(paged.top_k, single.top_k);
         let s = engine.pager().stats();
         assert!(

@@ -3,8 +3,7 @@
 //!
 //! The bare [`Engine`] is `&mut self`-only: one writer, no readers while it
 //! writes, and every [`Engine::apply`] pays its own fsync. `EngineLake`
-//! wraps it with **Arc-snapshot serving**, a group-commit protocol, and a
-//! shared probe cache:
+//! wraps it with **Arc-snapshot serving** and a group-commit protocol:
 //!
 //! * **Snapshot serving (no reader locks)** — queries never take the
 //!   engine lock. Writers keep an always-valid [`EngineSnapshot`] in a
@@ -47,15 +46,12 @@
 //!   segment + checkpoint behind the manifest flip, which is itself
 //!   durable. The sequential sync path remains available as
 //!   [`Engine::apply`] with `group_commit == 1`.
-//! * **Shared probe cache** — every reader resolves cold-layer runs
-//!   through one [`SourceCache`], so `discover`-style query streams pay
-//!   the multi-segment walk once per value per
-//!   flush/compaction/promotion epoch instead of once per query. The
-//!   cache is keyed by `(engine instance, source epoch)`: current-epoch
-//!   readers share it, a reader holding an older snapshot simply bypasses
-//!   it (correct, just uncached), and memtable postings are always probed
-//!   fresh from the snapshot — cached results stay bit-identical to
-//!   uncached ones.
+//!
+//! Readers of one published snapshot share its memo of resolved merged
+//! lists (see [`MergedSource`]), so a query stream pays the multi-layer
+//! walk once per value per published snapshot; the next publish starts a
+//! fresh memo, and a reader holding an older snapshot keeps resolving
+//! through that snapshot's own.
 //!
 //! Commit-queue locking note: the queue mutex and its condvar recover from
 //! poisoning (a writer thread that panics mid-commit must not cascade
@@ -66,10 +62,10 @@
 //! panic between queue updates leaves conservative state (waiters wait for
 //! the next leader or rotation), never a false durability claim.
 
-use super::merged::SourceCache;
 use super::ranks;
 use super::{
-    prepare_insert, Engine, EngineConfig, EngineSnapshot, EngineStats, MergedSource, WalTicket,
+    prepare_insert, Engine, EngineConfig, EngineSnapshot, EngineStats, MergedSource, SourceCache,
+    WalTicket,
 };
 use crate::wal::WalRecord;
 use mate_hash::Xash;
@@ -108,7 +104,6 @@ pub struct EngineLake {
     /// can run phase A of the staged protocol (per-row super-key hashing)
     /// without touching the engine lock.
     hasher: Xash,
-    cache: Arc<SourceCache>,
     /// The most recently published snapshot — always valid, replaced (never
     /// mutated) under the engine write lock after every write batch.
     published: RankedMutex<Arc<EngineSnapshot>>,
@@ -128,7 +123,6 @@ pub struct EngineLake {
 /// memory of the pinned state alive.
 pub struct LakeReader {
     snapshot: Arc<EngineSnapshot>,
-    cache: Arc<SourceCache>,
 }
 
 impl LakeReader {
@@ -142,10 +136,10 @@ impl LakeReader {
         self.snapshot
     }
 
-    /// A merged posting view of the snapshot, resolving cold runs through
-    /// the lake's shared [`SourceCache`].
+    /// A merged posting view of the snapshot: its
+    /// [`EngineSnapshot::source`], sharing the snapshot's memo.
     pub fn source(&self) -> MergedSource<'_> {
-        self.snapshot.source_cached(&self.cache)
+        self.snapshot.source()
     }
 }
 
@@ -162,7 +156,7 @@ impl EngineLake {
     }
 
     /// Wraps an already-constructed engine.
-    pub fn new(mut engine: Engine) -> Self {
+    pub fn new(engine: Engine) -> Self {
         let queue = CommitQueue {
             epoch: engine.wal_seq(),
             appended: engine.wal_len(),
@@ -181,7 +175,6 @@ impl EngineLake {
         EngineLake {
             engine: RankedRwLock::new(ranks::ENGINE_WRITE, engine),
             hasher,
-            cache: Arc::new(SourceCache::new()),
             published: RankedMutex::new(ranks::SNAPSHOT_SLOT, published),
             commit: RankedMutex::new(ranks::COMMIT_QUEUE, queue),
             commit_cv: RankedCondvar::new(),
@@ -202,13 +195,13 @@ impl EngineLake {
     pub fn reader(&self) -> LakeReader {
         LakeReader {
             snapshot: Arc::clone(&self.published.lock()),
-            cache: Arc::clone(&self.cache),
         }
     }
 
-    /// The shared cold-resolution cache (hit/miss counters).
-    pub fn source_cache(&self) -> &SourceCache {
-        &self.cache
+    /// Hit/miss counters of the snapshot memos every reader resolves
+    /// through.
+    pub fn source_cache(&self) -> SourceCache {
+        self.published.lock().source_cache().clone()
     }
 
     /// Live counters of the engine's shared page cache — the budgeted pool

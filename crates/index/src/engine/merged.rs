@@ -18,56 +18,39 @@
 //! * `collect_run` maps virtual positions back to the owning layer and
 //!   decodes only there.
 //!
-//! Resolved lists are memoized in an internal registry (one resolution per
-//! distinct probed value), so the repeated probes of a discovery run pay
-//! the multi-layer walk once. The registry is behind an `RwLock`; parallel
-//! discovery workers only ever take the read path.
+//! Resolved lists are memoized in the [`Memo`] of the
+//! [`EngineSnapshot`](crate::engine::EngineSnapshot) the source was built
+//! from, shared by every source built from that snapshot. A snapshot never
+//! changes, so a resolution stays valid for the snapshot's whole life: the
+//! repeated probes of one query, and every query served by one published
+//! snapshot, pay the multi-layer walk once per distinct value, and a
+//! republished snapshot simply starts with an empty memo. The memo is
+//! behind an `RwLock`; parallel discovery workers only ever take the read
+//! path for values already resolved.
 //!
 //! Cold layers opened paged fault their bytes in through the engine's
 //! shared [`PageCache`](mate_storage::pager::PageCache) *during* these
-//! probes — i.e. while this module holds the `source-registry` (or the
-//! engine's `cold-cache`) lock. That is why the pager's lock ranks
-//! strictly above both (see the rank table in [`crate::engine`]): the
-//! fault-in path acquires it last, and a page fill takes no further locks.
+//! probes — i.e. while this module holds the `source-memo` lock. That is
+//! why the pager's lock ranks strictly above it (see the rank table in
+//! [`crate::engine`]): the fault-in path acquires it last, and a page fill
+//! takes no further locks.
 //!
-//! A `MergedSource` is a *snapshot*: it borrows the engine immutably, so
-//! the borrow checker guarantees no mutation can interleave with its
-//! lifetime.
+//! A `MergedSource` borrows its snapshot, so the layers it reads stay
+//! pinned for its whole lifetime.
 
 use super::ranks;
 use crate::posting::PostingEntry;
 use crate::source::{ListHandle, PostingSource, ProbeCounters, ProbeScratch};
-use crate::store::PostingStore;
 use mate_hash::fx::FxHashMap;
-use mate_obs::lockrank::RankedRwLock;
-use std::sync::atomic::{AtomicU64, Ordering};
+use mate_obs::lockrank::{RankedMutex, RankedRwLock};
+use mate_obs::{Counter, Obs};
 use std::sync::Arc;
-
-/// One layer of a [`MergedSource`]: either borrowed from the engine /
-/// snapshot that built the source (cold stores, snapshot-held shard
-/// stores), or pinned by refcount (live memtable shard stores, which sit
-/// behind per-shard latches and cannot be borrowed for the source's
-/// lifetime — the pin makes later shard writes copy-on-write instead of
-/// mutating under the reader).
-pub(crate) enum LayerRef<'a> {
-    Ref(&'a (dyn PostingSource + 'a)),
-    Pinned(Arc<PostingStore>),
-}
-
-impl LayerRef<'_> {
-    pub(crate) fn get(&self) -> &(dyn PostingSource + '_) {
-        match self {
-            LayerRef::Ref(l) => *l,
-            LayerRef::Pinned(s) => s.as_ref(),
-        }
-    }
-}
 
 // Lock poisoning note: the ranked locks in this module recover poisoned
 // guards (the `lockrank` wrappers always do). That is sound here because
-// the caches are *memoization* state: every entry is re-derivable from the
-// immutable layers, and the two-step fills (push a list, then insert the
-// value pointing at it) leave at worst an orphaned list behind a panic —
+// the memo is *memoization* state: every entry is re-derivable from the
+// immutable layers, and the two-step fill (push a list, then insert the
+// value pointing at it) leaves at worst an orphaned list behind a panic —
 // never a dangling reference. Propagating the poison would turn one
 // panicking query thread into a panic in every later query.
 
@@ -75,98 +58,43 @@ impl LayerRef<'_> {
 /// away).
 pub(crate) const NO_OWNER: u32 = u32::MAX;
 
-/// Identity of a cache generation: *which* engine instance, at which
-/// [`source_epoch`]. The instance id makes generations unique across
-/// reopens — a reopened engine restarts its epoch at 0, so epoch alone
-/// could collide with a cache filled by a previous instance.
+/// Hit/miss counters of the snapshot memos: registry counters
+/// `source_cache.hits` / `source_cache.misses` on the engine's
+/// [`Obs`](mate_obs::Obs), shared by every snapshot of the engine.
 ///
-/// [`source_epoch`]: crate::engine::Engine::source_epoch
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub(crate) struct CacheEpoch {
-    /// Process-unique engine instance id.
-    pub(crate) instance: u64,
-    /// The instance's source epoch at snapshot time.
-    pub(crate) epoch: u64,
-}
-
-#[derive(Debug, Default)]
-struct ColdCache {
-    /// The engine generation the entries were resolved at. Entries are
-    /// valid only for the exact same generation — cold stores are
-    /// immutable and their [`ListHandle`]s stable, so within a generation
-    /// a resolution never goes stale.
-    key: CacheEpoch,
-    /// The resolved cold prefixes, same bookkeeping as the per-source
-    /// [`Registry`].
-    registry: Registry,
-}
-
-/// A cross-query cache of resolved cold-layer posting runs.
-///
-/// [`crate::engine::EngineLake`] owns one and hands it to every
-/// [`MergedSource`] it creates (via
-/// [`crate::engine::Engine::source_cached`]): the multi-segment walk +
-/// table-run decode for a probed value is paid once per
-/// flush/compaction/promotion epoch instead of once per query. Memtable
-/// runs are *never* cached — they change with every write and are probed
-/// fresh (a cheap hot-store hash lookup), which is what keeps cached
-/// serving bit-identical to uncached serving at all times.
-///
-/// Thread-safe: readers share the inner `RwLock` read-side; a resolver
-/// that misses fills the cache under the write lock.
-///
-/// Bounded: at most `MAX_CACHED_VALUES` (1M) distinct values are kept per
-/// generation — beyond that, resolutions still work (layer walk per
-/// probe) but are no longer inserted, so a read-mostly epoch serving a
-/// high-cardinality value stream cannot grow the cache without bound.
-/// Entries are re-derivable, so the bound never affects results.
-#[derive(Debug)]
+/// A hit is a [`MergedSource::find_list`](PostingSource::find_list)
+/// answered by the serving snapshot's memo (repeats within one query
+/// included); a miss walked the layers and filled the memo.
+#[derive(Debug, Clone)]
 pub struct SourceCache {
-    inner: RankedRwLock<ColdCache>,
-    // obs-exempt: per-cache delta counters read into each query's
-    // DiscoveryStats (cold_cache_hits/misses); a process-global registry
-    // counter could not give per-query deltas.
-    hits: AtomicU64,
-    // obs-exempt: see `hits` above.
-    misses: AtomicU64,
-}
-
-/// Cap on distinct cached values per generation (see [`SourceCache`]).
-/// Entries cost roughly a value string + a few runs/handles each; the
-/// cap keeps worst-case cache memory in the low hundreds of MB.
-const MAX_CACHED_VALUES: usize = 1 << 20;
-
-impl Default for SourceCache {
-    fn default() -> Self {
-        SourceCache {
-            inner: RankedRwLock::new(ranks::COLD_CACHE, ColdCache::default()),
-            hits: AtomicU64::new(0),   // obs-exempt: see the field docs above
-            misses: AtomicU64::new(0), // obs-exempt: see the field docs above
-        }
-    }
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
 }
 
 impl SourceCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        SourceCache::default()
+    /// The counters registered on `obs`.
+    pub(crate) fn new(obs: &Obs) -> Self {
+        SourceCache {
+            hits: obs.counter("source_cache.hits"),
+            misses: obs.counter("source_cache.misses"),
+        }
     }
 
-    /// Probes answered from the cache since creation.
+    /// Probes answered from a snapshot memo.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.hits.get()
     }
 
-    /// Probes that had to walk the cold layers (and filled the cache).
+    /// Probes that had to walk the layers (and filled the memo).
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Distinct values currently resolved in the cache.
-    pub fn cached_values(&self) -> usize {
-        self.inner.read().registry.by_value.len()
+        self.misses.get()
     }
 }
+
+/// Cap on distinct values per memo (see [`MemoSlot::get`]). Entries cost
+/// roughly a value string + a few runs/handles each; the cap keeps
+/// worst-case memo memory in the low hundreds of MB.
+const MAX_MEMO_VALUES: usize = 1 << 20;
 
 /// One contiguous piece of a virtual posting list, served by one layer.
 #[derive(Debug, Clone, Copy)]
@@ -183,48 +111,89 @@ struct MergedRun {
     virt_start: u32,
 }
 
-/// A resolved (piece of a) virtual list: per-layer handles plus the kept
-/// runs in virtual order. Used in two roles: the per-source registry
-/// stores complete lists (every layer, memtable included); the shared
-/// [`SourceCache`] stores the **cold prefix** only (handles cover the
-/// cold layers, virtual positions start at 0, memtable runs are appended
-/// per query).
-#[derive(Debug, Clone)]
+/// A resolved virtual list: per-layer handles plus the kept runs in
+/// virtual order.
+#[derive(Debug)]
 struct ResolvedList {
     total: u32,
     handles: Vec<Option<ListHandle>>,
     runs: Vec<MergedRun>,
 }
 
+/// Complete merged lists of one snapshot: value → resolved list. A
+/// [`ListHandle`] a [`MergedSource`] hands out is an index into `lists`,
+/// valid for as long as the source holds the memo.
 #[derive(Debug, Default)]
-struct Registry {
+pub(crate) struct Memo {
     /// Value → resolved list id (`None` = probed, no live entries).
     by_value: FxHashMap<String, Option<u32>>,
     lists: Vec<ResolvedList>,
+}
+
+impl Memo {
+    /// The handle of a memoized value (`Some(None)`: known absent).
+    fn handle(&self, value: &str) -> Option<Option<ListHandle>> {
+        let id = *self.by_value.get(value)?;
+        Some(id.map(|id| ListHandle {
+            id,
+            len: self.lists[id as usize].total,
+        }))
+    }
+}
+
+/// An [`EngineSnapshot`](crate::engine::EngineSnapshot)'s memo slot. The
+/// memo is bounded: once it holds `cap` values the next source gets a fresh
+/// one, while sources already built keep serving the old one through their
+/// `Arc`. Entries are re-derivable, so the swap never affects results.
+#[derive(Debug)]
+pub(crate) struct MemoSlot {
+    current: RankedMutex<Arc<RankedRwLock<Memo>>>,
+    cap: usize,
+}
+
+impl MemoSlot {
+    /// An empty slot bounded at [`MAX_MEMO_VALUES`].
+    pub(crate) fn new() -> Self {
+        MemoSlot::with_cap(MAX_MEMO_VALUES)
+    }
+
+    fn with_cap(cap: usize) -> Self {
+        MemoSlot {
+            current: RankedMutex::new(ranks::MEMO_SLOT, MemoSlot::fresh()),
+            cap,
+        }
+    }
+
+    fn fresh() -> Arc<RankedRwLock<Memo>> {
+        Arc::new(RankedRwLock::new(ranks::SOURCE_MEMO, Memo::default()))
+    }
+
+    /// The memo a new source shares: the current one, or a fresh one in its
+    /// place once the current one is full.
+    pub(crate) fn get(&self) -> Arc<RankedRwLock<Memo>> {
+        let mut current = self.current.lock();
+        if current.read().by_value.len() >= self.cap {
+            *current = MemoSlot::fresh();
+        }
+        Arc::clone(&current)
+    }
 }
 
 /// A read-only union of posting layers with newest-wins table masking.
 pub struct MergedSource<'a> {
     /// Cold segment stores oldest → newest, then the memtable shard
     /// stores.
-    layers: Vec<LayerRef<'a>>,
-    /// How many leading entries of `layers` are cold segments; the rest
-    /// are memtable shards. Cold resolutions are cacheable across queries,
-    /// memtable runs never are.
-    num_cold: usize,
+    layers: Vec<&'a dyn PostingSource>,
     /// Table id → index into `layers` of its owner, or [`NO_OWNER`].
-    /// Shared with the engine snapshot that built this source, so
-    /// constructing a source per query costs no owner-map copy.
-    owners: Arc<Vec<u32>>,
+    owners: &'a [u32],
     /// Live distinct-value estimate (sum over layers; values present in
     /// several layers are counted once per layer).
     num_values_hint: usize,
     /// Exact live posting count (maintained by the engine).
     num_postings: usize,
-    /// Cross-query cold-resolution cache + the engine generation this
-    /// snapshot was taken at (`None`: every probe walks the layers).
-    cache: Option<(&'a SourceCache, CacheEpoch)>,
-    registry: RankedRwLock<Registry>,
+    /// The snapshot's memo (see module docs).
+    memo: Arc<RankedRwLock<Memo>>,
+    counters: &'a SourceCache,
 }
 
 impl std::fmt::Debug for MergedSource<'_> {
@@ -238,23 +207,20 @@ impl std::fmt::Debug for MergedSource<'_> {
 
 impl<'a> MergedSource<'a> {
     pub(crate) fn new(
-        layers: Vec<LayerRef<'a>>,
-        num_cold: usize,
-        owners: Arc<Vec<u32>>,
+        layers: Vec<&'a dyn PostingSource>,
+        owners: &'a [u32],
         num_values_hint: usize,
         num_postings: usize,
-        cache: Option<(&'a SourceCache, CacheEpoch)>,
+        memo: Arc<RankedRwLock<Memo>>,
+        counters: &'a SourceCache,
     ) -> Self {
-        assert!(!layers.is_empty(), "merged source needs at least one layer");
-        assert!(num_cold < layers.len(), "at least one memtable layer");
         MergedSource {
             layers,
-            num_cold,
             owners,
             num_values_hint,
             num_postings,
-            cache,
-            registry: RankedRwLock::new(ranks::SOURCE_REGISTRY, Registry::default()),
+            memo,
+            counters,
         }
     }
 
@@ -279,7 +245,7 @@ impl<'a> MergedSource<'a> {
         runs: &mut Vec<MergedRun>,
         total: &mut u32,
     ) -> Option<ListHandle> {
-        let layer = self.layers[li].get();
+        let layer = self.layers[li];
         let handle = layer.find_list(value, scratch);
         if let Some(h) = handle {
             let mut at = 0u32;
@@ -300,130 +266,39 @@ impl<'a> MergedSource<'a> {
         handle
     }
 
-    /// The cold prefix of `value`'s virtual list — from the shared
-    /// [`SourceCache`] when it holds a same-generation entry, otherwise by
-    /// walking the cold layers (and filling the cache).
-    fn resolve_cold(&self, value: &str, scratch: &mut ProbeScratch) -> ResolvedList {
-        let num_cold = self.num_cold;
-        if let Some((cache, key)) = self.cache {
-            {
-                let inner = cache.inner.read();
-                if inner.key == key {
-                    if let Some(&cached) = inner.registry.by_value.get(value) {
-                        cache.hits.fetch_add(1, Ordering::Relaxed);
-                        return match cached {
-                            Some(id) => inner.registry.lists[id as usize].clone(),
-                            None => ResolvedList {
-                                total: 0,
-                                handles: vec![None; num_cold],
-                                runs: Vec::new(),
-                            },
-                        };
-                    }
-                }
-            }
-            cache.misses.fetch_add(1, Ordering::Relaxed);
-        }
-
-        // Walk the cold layers outside any cache lock (decoding may be
-        // slow).
-        let mut handles: Vec<Option<ListHandle>> = Vec::with_capacity(num_cold);
-        let mut runs: Vec<MergedRun> = Vec::new();
-        let mut total = 0u32;
-        for li in 0..num_cold {
-            let handle = self.walk_layer(li, value, scratch, &mut runs, &mut total);
-            handles.push(handle);
-        }
-        let cold = ResolvedList {
-            total,
-            handles,
-            runs,
-        };
-
-        if let Some((cache, key)) = self.cache {
-            let mut inner = cache.inner.write();
-            if inner.key != key {
-                if inner.key.instance == key.instance && inner.key.epoch > key.epoch {
-                    // A newer generation of the same engine already filled
-                    // the cache. Routine under snapshot serving: a reader
-                    // holding a pre-flush snapshot keeps probing after the
-                    // flush bumped the epoch and newer readers refilled.
-                    // Its resolutions stay correct for *its* snapshot (the
-                    // layers are immutable and pinned by the snapshot) but
-                    // must not clobber the newer generation's cache.
-                    return cold;
-                }
-                // First fill of this generation: reset.
-                inner.key = key;
-                inner.registry = Registry::default();
-            }
-            if inner.registry.by_value.len() < MAX_CACHED_VALUES
-                && !inner.registry.by_value.contains_key(value)
-            {
-                let entry = if cold.total == 0 && cold.runs.is_empty() {
-                    None
-                } else {
-                    let id = inner.registry.lists.len() as u32;
-                    inner.registry.lists.push(cold.clone());
-                    Some(id)
-                };
-                inner.registry.by_value.insert(value.to_string(), entry);
-            }
-        }
-        cold
-    }
-
     /// Resolves `value` across all layers into a virtual list, memoizing
     /// the result.
     fn resolve(&self, value: &str, scratch: &mut ProbeScratch) -> Option<ListHandle> {
-        {
-            // One guard for both the cache probe and the total lookup —
-            // re-locking inside the hit path could deadlock against a
-            // queued writer.
-            let reg = self.registry.read();
-            if let Some(&cached) = reg.by_value.get(value) {
-                return cached.map(|id| ListHandle {
-                    id,
-                    len: reg.lists[id as usize].total,
-                });
-            }
+        if let Some(handle) = self.memo.read().handle(value) {
+            self.counters.hits.inc();
+            return handle;
+        }
+        self.counters.misses.inc();
+
+        // Walk the layers outside the memo lock (decoding may be slow).
+        let mut handles = Vec::with_capacity(self.layers.len());
+        let mut runs = Vec::new();
+        let mut total = 0u32;
+        for li in 0..self.layers.len() {
+            handles.push(self.walk_layer(li, value, scratch, &mut runs, &mut total));
         }
 
-        // Miss: cold prefix (shared cache or layer walk), then fresh
-        // memtable shard probes — memtable contents change with every
-        // write and are never cached across queries.
-        let cold = self.resolve_cold(value, scratch);
-        let ResolvedList {
-            mut total,
-            mut handles,
-            mut runs,
-        } = cold;
-        for li in self.num_cold..self.layers.len() {
-            let mem_handle = self.walk_layer(li, value, scratch, &mut runs, &mut total);
-            handles.push(mem_handle);
-        }
-
-        let mut reg = self.registry.write();
+        let mut memo = self.memo.write();
         // A concurrent resolver may have won the race; keep the first entry
         // so ids stay stable.
-        if let Some(&cached) = reg.by_value.get(value) {
-            return cached.map(|id| ListHandle {
-                id,
-                len: reg.lists[id as usize].total,
+        if let Some(handle) = memo.handle(value) {
+            return handle;
+        }
+        let id = (total > 0).then(|| {
+            memo.lists.push(ResolvedList {
+                total,
+                handles,
+                runs,
             });
-        }
-        if total == 0 {
-            reg.by_value.insert(value.to_string(), None);
-            return None;
-        }
-        let id = reg.lists.len() as u32;
-        reg.lists.push(ResolvedList {
-            total,
-            handles,
-            runs,
+            memo.lists.len() as u32 - 1
         });
-        reg.by_value.insert(value.to_string(), Some(id));
-        Some(ListHandle { id, len: total })
+        memo.by_value.insert(value.to_string(), id);
+        id.map(|id| ListHandle { id, len: total })
     }
 }
 
@@ -438,8 +313,8 @@ impl PostingSource for MergedSource<'_> {
         _scratch: &mut ProbeScratch,
         f: &mut dyn FnMut(u32, u32),
     ) {
-        let reg = self.registry.read();
-        for run in &reg.lists[list.id as usize].runs {
+        let memo = self.memo.read();
+        for run in &memo.lists[list.id as usize].runs {
             f(run.table, run.len);
         }
     }
@@ -456,8 +331,8 @@ impl PostingSource for MergedSource<'_> {
         if len == 0 {
             return;
         }
-        let reg = self.registry.read();
-        let merged = &reg.lists[list.id as usize];
+        let memo = self.memo.read();
+        let merged = &memo.lists[list.id as usize];
         // First run overlapping `start`.
         let mut i = merged
             .runs
@@ -472,7 +347,7 @@ impl PostingSource for MergedSource<'_> {
             // that resolved a handle (resolve() records the handle and the
             // run together), so the slot is always Some.
             let handle = merged.handles[run.layer as usize].expect("run without a layer list");
-            self.layers[run.layer as usize].get().collect_run(
+            self.layers[run.layer as usize].collect_run(
                 handle,
                 run.layer_start + off,
                 take,
@@ -528,17 +403,36 @@ mod tests {
         (old, new, vec![0, 1, 1, 1])
     }
 
+    /// A source over the two `setup` layers sharing `slot`'s memo.
+    fn source<'a>(
+        old: &'a PostingStore,
+        new: &'a PostingStore,
+        owners: &'a [u32],
+        slot: &MemoSlot,
+        counters: &'a SourceCache,
+    ) -> MergedSource<'a> {
+        MergedSource::new(vec![old, new], owners, 0, 6, slot.get(), counters)
+    }
+
+    fn collect(src: &MergedSource<'_>, h: ListHandle, start: u32, len: u32) -> Vec<PostingEntry> {
+        let mut out = Vec::new();
+        let mut counters = ProbeCounters::default();
+        src.collect_run(
+            h,
+            start,
+            len,
+            &mut ProbeScratch::new(),
+            &mut out,
+            &mut counters,
+        );
+        out
+    }
+
     #[test]
     fn masking_and_virtual_order() {
         let (old, new, owners) = setup();
-        let src = MergedSource::new(
-            vec![LayerRef::Ref(&old), LayerRef::Ref(&new)],
-            1,
-            Arc::new(owners),
-            0,
-            6,
-            None,
-        );
+        let counters = SourceCache::new(&Obs::new());
+        let src = source(&old, &new, &owners, &MemoSlot::new(), &counters);
         let mut scratch = ProbeScratch::new();
 
         let h = src.find_list("a", &mut scratch).unwrap();
@@ -546,11 +440,10 @@ mod tests {
         let mut runs = Vec::new();
         src.table_runs(h, &mut scratch, &mut |t, n| runs.push((t, n)));
         assert_eq!(runs, vec![(0, 2), (1, 1), (2, 1)]);
-
-        let mut out = Vec::new();
-        let mut counters = ProbeCounters::default();
-        src.collect_run(h, 0, h.len, &mut scratch, &mut out, &mut counters);
-        assert_eq!(out, vec![e(0, 0, 0), e(0, 0, 1), e(1, 0, 5), e(2, 0, 0)]);
+        assert_eq!(
+            collect(&src, h, 0, h.len),
+            vec![e(0, 0, 0), e(0, 0, 1), e(1, 0, 5), e(2, 0, 0)]
+        );
 
         // Fully-masked lists read as absent.
         assert!(src.find_list("b", &mut scratch).is_none());
@@ -563,42 +456,66 @@ mod tests {
     #[test]
     fn partial_collects_cross_layer_boundaries() {
         let (old, new, owners) = setup();
-        let src = MergedSource::new(
-            vec![LayerRef::Ref(&old), LayerRef::Ref(&new)],
-            1,
-            Arc::new(owners),
-            0,
-            6,
-            None,
-        );
-        let mut scratch = ProbeScratch::new();
-        let h = src.find_list("a", &mut scratch).unwrap();
-        let mut counters = ProbeCounters::default();
+        let counters = SourceCache::new(&Obs::new());
+        let src = source(&old, &new, &owners, &MemoSlot::new(), &counters);
+        let h = src.find_list("a", &mut ProbeScratch::new()).unwrap();
         // [1, 3) spans the tail of layer 0's run and layer 1's first run.
-        let mut out = Vec::new();
-        src.collect_run(h, 1, 2, &mut scratch, &mut out, &mut counters);
-        assert_eq!(out, vec![e(0, 0, 1), e(1, 0, 5)]);
+        assert_eq!(collect(&src, h, 1, 2), vec![e(0, 0, 1), e(1, 0, 5)]);
         // Single-entry slice in the middle.
-        let mut out = Vec::new();
-        src.collect_run(h, 2, 1, &mut scratch, &mut out, &mut counters);
-        assert_eq!(out, vec![e(1, 0, 5)]);
+        assert_eq!(collect(&src, h, 2, 1), vec![e(1, 0, 5)]);
     }
 
+    /// A value resolves to one stable handle, shared by every source of
+    /// one memo slot.
     #[test]
     fn memoization_is_stable() {
         let (old, new, owners) = setup();
-        let src = MergedSource::new(
-            vec![LayerRef::Ref(&old), LayerRef::Ref(&new)],
-            1,
-            Arc::new(owners),
-            0,
-            6,
-            None,
-        );
+        let counters = SourceCache::new(&Obs::new());
+        let slot = MemoSlot::new();
         let mut scratch = ProbeScratch::new();
-        let h1 = src.find_list("a", &mut scratch).unwrap();
-        let h2 = src.find_list("a", &mut scratch).unwrap();
-        assert_eq!(h1, h2, "same value resolves to the same handle");
-        assert_eq!(src.num_postings(), 6);
+        let first = source(&old, &new, &owners, &slot, &counters);
+        let h1 = first.find_list("a", &mut scratch).unwrap();
+        assert_eq!(first.find_list("a", &mut scratch), Some(h1));
+        let second = source(&old, &new, &owners, &slot, &counters);
+        assert_eq!(second.find_list("a", &mut scratch), Some(h1));
+        assert_eq!((counters.hits(), counters.misses()), (2, 1));
+        // Absence is memoized too.
+        assert!(first.find_list("zzz", &mut scratch).is_none());
+        assert!(second.find_list("zzz", &mut scratch).is_none());
+        assert_eq!((counters.hits(), counters.misses()), (3, 2));
+        assert_eq!(second.num_postings(), 6);
+    }
+
+    #[test]
+    fn a_full_memo_is_replaced_for_new_sources_only() {
+        let (old, new, owners) = setup();
+        let counters = SourceCache::new(&Obs::new());
+        let slot = MemoSlot::with_cap(2);
+        let mut scratch = ProbeScratch::new();
+
+        // Two probed values fill the memo (an absent value counts too).
+        let first = source(&old, &new, &owners, &slot, &counters);
+        let ha = first.find_list("a", &mut scratch).unwrap();
+        assert!(first.find_list("b", &mut scratch).is_none());
+
+        // The next source gets a fresh memo: "a" resolves again, under an
+        // id of the new memo's own.
+        let second = source(&old, &new, &owners, &slot, &counters);
+        assert!(!Arc::ptr_eq(&first.memo, &second.memo));
+        let hc = second.find_list("c", &mut scratch).unwrap();
+        assert_eq!(hc.id, ha.id, "ids restart in the fresh memo");
+        assert_eq!(counters.misses(), 3);
+
+        // The existing source keeps serving its handles from the old memo.
+        assert_eq!(first.find_list("a", &mut scratch), Some(ha));
+        assert_eq!(
+            collect(&first, ha, 0, ha.len),
+            vec![e(0, 0, 0), e(0, 0, 1), e(1, 0, 5), e(2, 0, 0)]
+        );
+        assert_eq!(collect(&second, hc, 0, hc.len), vec![e(3, 0, 0)]);
+
+        // A memo with room is shared, not replaced.
+        let third = source(&old, &new, &owners, &slot, &counters);
+        assert!(Arc::ptr_eq(&second.memo, &third.memo));
     }
 }

@@ -164,14 +164,16 @@
 //!   poisoning) degrade the engine to **read-only**: reads keep serving
 //!   from memory, write paths return [`EngineError::Degraded`].
 //!
-//! Reads go through [`Engine::source`] (a [`MergedSource`] borrowing the
-//! engine) or [`Engine::snapshot`] (an owned, immutable
-//! [`EngineSnapshot`] pinning the read-relevant state by `Arc`) — either
-//! way `mate_core` discovery runs unchanged over a [`PostingSource`] and
-//! returns results bit-identical to a single-shot built index at every
-//! flush state. [`EngineLake`] is the concurrent handle: writers behind a
-//! write lock publish snapshots; readers clone the published `Arc` and
-//! query without any engine lock, sharing one [`SourceCache`].
+//! Every read goes through an [`EngineSnapshot`]: an owned, immutable view
+//! pinning the read-relevant state by `Arc`, cached by [`Engine::snapshot`]
+//! until the next mutation. [`Engine::source`] is that snapshot's
+//! [`EngineSnapshot::source`], a [`MergedSource`] over which `mate_core`
+//! discovery runs unchanged, bit-identical to a single-shot built index at
+//! every flush state. Each snapshot owns one memo of resolved merged
+//! lists shared by all its sources, so the readers of one snapshot share
+//! resolutions and a republished snapshot starts empty. [`EngineLake`] is
+//! the concurrent handle: writers behind a write lock publish snapshots;
+//! readers clone the published `Arc` and query without any engine lock.
 //!
 //! # Lock ranks (canonical acquisition order)
 //!
@@ -187,8 +189,8 @@
 //! | 20.0  | commit-queue    | `EngineLake::commit` group-commit queue + cv    |
 //! | 25.0  | apply-quiesce   | `Quiesce::in_flight` staged-apply rendezvous    |
 //! | 30.i  | shard-latch     | `MemShard::store` latch of shard *i* (ascending)|
-//! | 40.0  | cold-cache      | `SourceCache::inner` cold-resolution cache      |
-//! | 40.1  | source-registry | `MergedSource::registry` per-engine memo        |
+//! | 40.0  | memo-slot       | `MemoSlot::current` a snapshot's memo slot      |
+//! | 40.1  | source-memo     | the memo of resolved merged lists               |
 //! | 50.0  | snapshot-slot   | `EngineLake::published` snapshot slot           |
 //! | 55.0  | pager-cache     | `mate_storage::pager::PageCache::inner` page map|
 //!
@@ -198,11 +200,11 @@
 //! never nested); `with_updater` takes all shard latches in ascending
 //! shard order (30.0 → 30.1 → …); snapshot publication takes
 //! `snapshot-slot` only after the engine snapshot (and its brief 25/30
-//! holds) completed. `cold-cache` and `source-registry` are never nested
-//! with each other. `pager-cache` is always acquired *last*: cold probes
-//! fault pages in while holding either 40-family lock
-//! (`MergedSource::collect_run` holds the `source-registry` read lock
-//! across the layer probe), and publishing a snapshot drops the
+//! holds) completed. `memo-slot` nests `source-memo` only to read the
+//! memo's size when handing it to a new source (40.0 → 40.1).
+//! `pager-cache` is always acquired *last*: cold probes fault pages in
+//! while holding `source-memo` (`MergedSource::collect_run` holds its
+//! read lock across the layer probe), and publishing a snapshot drops the
 //! superseded one while holding `snapshot-slot` — evicting its dead
 //! layers' pages (50 → 55). A page fill takes no further locks, so the
 //! reverse edges never exist.
@@ -214,13 +216,14 @@ mod snapshot;
 
 pub use lake::{EngineLake, LakeReader};
 pub use manifest::{Manifest, SegmentMeta};
+use merged::MemoSlot;
 pub use merged::{MergedSource, SourceCache};
 pub use snapshot::EngineSnapshot;
 
 use crate::cold::ColdPostingStore;
 use crate::persist;
 use crate::posting::PostingEntry;
-use crate::source::{PostingSource, ProbeCounters, ProbeScratch};
+use crate::source::PostingSource;
 use crate::store::{shard_of, PostingStore};
 use crate::superkeys::SuperKeyStore;
 use crate::updates::IndexUpdater;
@@ -239,7 +242,7 @@ use mate_storage::{
 use mate_table::{Corpus, RowId, Table, TableId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Engine file names inside the directory.
 const MANIFEST_FILE: &str = "MANIFEST";
@@ -326,18 +329,18 @@ pub(crate) mod ranks {
         // only need to stay distinct and ascending per shard index.
         Rank::new(30, i as u16, "shard-latch")
     }
-    /// The cold-posting resolution cache (`SourceCache::inner`).
-    pub const COLD_CACHE: Rank = Rank::new(40, 0, "cold-cache");
-    /// The merged-source registry (`MergedSource::registry`). Never
-    /// nested with [`COLD_CACHE`]; the distinct minor keeps the two
-    /// honest if that ever changes.
-    pub const SOURCE_REGISTRY: Rank = Rank::new(40, 1, "source-registry");
+    /// A snapshot's memo slot (`MemoSlot::current`). Held only to swap a
+    /// full memo and hand out the current one.
+    pub const MEMO_SLOT: Rank = Rank::new(40, 0, "memo-slot");
+    /// A snapshot's memo of resolved merged lists, read under
+    /// [`MEMO_SLOT`] for its size.
+    pub const SOURCE_MEMO: Rank = Rank::new(40, 1, "source-memo");
     /// The published-snapshot slot (`EngineLake::published`).
     pub const SNAPSHOT_SLOT: Rank = Rank::new(50, 0, "snapshot-slot");
     /// The global page-cache mutex (`PageCache::inner`), defined next to
     /// the cache in `mate_storage::pager` and re-exported here so the
     /// whole acquisition order reads off one table. Highest rank: probes
-    /// fault pages in under the 40-family locks, and snapshot publication
+    /// fault pages in under [`SOURCE_MEMO`], and snapshot publication
     /// evicts a superseded snapshot's pages under [`SNAPSHOT_SLOT`].
     pub const PAGER_CACHE: Rank = mate_storage::pager::PAGER_CACHE_RANK;
 }
@@ -352,16 +355,6 @@ const _: () = assert!(ranks::PAGER_CACHE.key() > ranks::SNAPSHOT_SLOT.key());
 /// together and the output lands roughly one class up.
 fn size_class(bytes: usize) -> u32 {
     bytes.max(1).ilog2() / 2
-}
-
-/// Process-unique engine instance ids: a [`SourceCache`] entry is keyed by
-/// (instance, epoch), so a cache can never accidentally validate against a
-/// *different* engine (e.g. after a reopen reset `source_epoch` to 0).
-// obs-exempt: identity allocator for cache validation, not a metric.
-static NEXT_ENGINE_INSTANCE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
-
-fn next_engine_instance() -> u64 {
-    NEXT_ENGINE_INSTANCE.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
 }
 
 /// Tuning knobs of the engine.
@@ -937,10 +930,12 @@ pub struct Engine {
     cold_live: Vec<usize>,
     /// Table id → owning layer.
     owners: Vec<Owner>,
-    /// Cached [`EngineSnapshot`] of the current state; dropped by
+    /// Cached [`EngineSnapshot`] of the current state; cleared by
     /// [`Engine::invalidate_snapshot`] before any mutation so an engine
     /// with no outstanding readers never pays a copy-on-write.
-    snapshot_cache: Option<Arc<EngineSnapshot>>,
+    snapshot_cache: OnceLock<Arc<EngineSnapshot>>,
+    /// Hit/miss counters of the snapshots' memos.
+    source_cache: SourceCache,
     wal: Box<dyn VfsFile>,
     /// Set when a failed append could not be rolled back (or an fsync
     /// failed with records buffered): the log tail is torn, so
@@ -965,12 +960,8 @@ pub struct Engine {
     /// (recovery replays `cdelta-<gen>-1..=seq` after loading it).
     corpus_delta_seq: u64,
     /// Bumped whenever the cold stack or cold-table ownership changes
-    /// (flush, compaction, promotion, cold tombstone): the invalidation
-    /// epoch of any [`SourceCache`] serving this engine.
+    /// (flush, compaction, promotion, cold tombstone).
     source_epoch: u64,
-    /// Process-unique instance id (cache entries are keyed by
-    /// `(instance, epoch)` so they cannot validate across reopens).
-    instance: u64,
     corpus_gen: u64,
     next_segment_id: u64,
     counters: Counters,
@@ -1151,10 +1142,11 @@ impl Engine {
             quiesce: Arc::new(Quiesce::new()),
             shard_counters: Arc::new(ShardCounters::new(&config.obs)),
             counters: Counters::new(&config.obs),
+            source_cache: SourceCache::new(&config.obs),
             config,
             cold,
             cold_live: Vec::new(),
-            snapshot_cache: None,
+            snapshot_cache: OnceLock::new(),
             wal,
             wal_poisoned: false,
             degraded: None,
@@ -1164,7 +1156,6 @@ impl Engine {
             dirty_tables: BTreeSet::new(),
             corpus_delta_seq: m.corpus_delta_seq,
             source_epoch: 0,
-            instance: next_engine_instance(),
             corpus_gen: m.corpus_gen,
             next_segment_id: m.next_segment_id,
         };
@@ -2100,8 +2091,11 @@ impl Engine {
 
         // 1. Checkpoint ⊕ delta chain first: segment rebuilds need it as
         //    their known-good source.
+        //    A failed read (here and below) is returned as is: it says
+        //    nothing about the bytes on disk, so it heals nothing.
         let watermark = match self.load_watermark_corpus() {
             Ok(c) => c,
+            Err(e) if e.is_io() => return Err(e),
             Err(_) => {
                 report.corruptions_found += 1;
                 self.counters.scrub_corruptions_found.inc();
@@ -2117,8 +2111,10 @@ impl Engine {
         // 2. Every cold segment file, newest-wins order irrelevant here.
         for li in 0..self.cold.len() {
             report.segments_checked += 1;
-            if self.verify_segment(li).is_ok() {
-                continue;
+            match self.verify_segment(li) {
+                Ok(()) => continue,
+                Err(e) if e.is_io() => return Err(e),
+                Err(_) => {}
             }
             report.corruptions_found += 1;
             self.counters.scrub_corruptions_found.inc();
@@ -2129,7 +2125,10 @@ impl Engine {
 
         // 3. The manifest frame itself (cheap; rebuilds above already
         //    rewrote it as their commit point).
-        if Manifest::load_vfs(self.vfs.as_ref(), &self.dir.join(MANIFEST_FILE)).is_err() {
+        if let Err(e) = Manifest::load_vfs(self.vfs.as_ref(), &self.dir.join(MANIFEST_FILE)) {
+            if e.is_io() {
+                return Err(e);
+            }
             report.corruptions_found += 1;
             self.counters.scrub_corruptions_found.inc();
             let checkpoint = (self.corpus_gen, self.corpus_delta_seq);
@@ -2361,53 +2360,11 @@ impl Engine {
 
     // ----------------------------------------------------------- reading --
 
-    /// A merged [`PostingSource`] snapshot over every layer. Construct one
-    /// per batch of queries; the borrow prevents mutation while it lives.
+    /// A merged [`PostingSource`] over every layer: the source of the
+    /// current [`Engine::snapshot`]. The borrow prevents mutation while it
+    /// lives.
     pub fn source(&self) -> MergedSource<'_> {
-        self.source_inner(None)
-    }
-
-    /// Like [`Engine::source`], but resolving cold-layer runs through a
-    /// shared [`SourceCache`], so repeated probes of the same value across
-    /// queries skip the multi-segment walk. The cache self-invalidates
-    /// when [`Engine::source_epoch`] moves past the epoch it was filled
-    /// at (flush, compaction, promotion, cold tombstone).
-    pub fn source_cached<'a>(&'a self, cache: &'a SourceCache) -> MergedSource<'a> {
-        self.source_inner(Some(cache))
-    }
-
-    fn source_inner<'a>(&'a self, cache: Option<&'a SourceCache>) -> MergedSource<'a> {
-        self.rendezvous();
-        let mut layers: Vec<merged::LayerRef<'a>> = self
-            .cold
-            .iter()
-            .map(|l| merged::LayerRef::Ref(&l.store as &(dyn PostingSource + '_)))
-            .collect();
-        // Pin the shard stores by refcount: a staged apply landing after
-        // this source is built copies-on-write, so the view stays stable.
-        for shard in self.shards.iter() {
-            layers.push(merged::LayerRef::Pinned(shard.pin()));
-        }
-        let values_hint = layers
-            .iter()
-            .map(|l| PostingSource::num_values(l.get()))
-            .sum::<usize>();
-        MergedSource::new(
-            layers,
-            self.cold.len(),
-            Arc::new(self.owners_u32()),
-            values_hint,
-            self.live_postings(),
-            cache.map(|c| {
-                (
-                    c,
-                    merged::CacheEpoch {
-                        instance: self.instance,
-                        epoch: self.source_epoch,
-                    },
-                )
-            }),
-        )
+        self.current_snapshot().source()
     }
 
     /// The owner map in [`MergedSource`] layout: table id → layer index
@@ -2436,50 +2393,52 @@ impl Engine {
     /// it was taken from for as long as it is held.
     ///
     /// The snapshot is cached until the next mutation, so back-to-back
-    /// calls between writes return the same `Arc`.
-    pub fn snapshot(&mut self) -> Arc<EngineSnapshot> {
-        if let Some(s) = &self.snapshot_cache {
-            return Arc::clone(s);
-        }
-        self.rendezvous();
-        let mem: Vec<Arc<PostingStore>> = self.shards.iter().map(|s| s.pin()).collect();
-        let values_hint = mem
-            .iter()
-            .map(|s| PostingSource::num_values(s.as_ref()))
-            .sum::<usize>()
-            + self
-                .cold
+    /// calls between writes return the same `Arc` — and share its memo.
+    pub fn snapshot(&self) -> Arc<EngineSnapshot> {
+        Arc::clone(self.current_snapshot())
+    }
+
+    fn current_snapshot(&self) -> &Arc<EngineSnapshot> {
+        self.snapshot_cache.get_or_init(|| {
+            self.rendezvous();
+            let mem: Vec<Arc<PostingStore>> = self.shards.iter().map(|s| s.pin()).collect();
+            let values_hint = mem
                 .iter()
-                .map(|l| PostingSource::num_values(&l.store))
-                .sum::<usize>();
-        let snap = Arc::new(EngineSnapshot {
-            corpus: Arc::clone(&self.corpus),
-            mem,
-            superkeys: Arc::clone(&self.superkeys),
-            cold: self.cold.clone(),
-            pager: Arc::clone(&self.pager),
-            owners: Arc::new(self.owners_u32()),
-            hasher: self.hasher,
-            instance: self.instance,
-            epoch: self.source_epoch,
-            num_values_hint: values_hint,
-            num_postings: self.live_postings(),
-            stats: self.stats(),
-        });
-        self.snapshot_cache = Some(Arc::clone(&snap));
-        snap
+                .map(|s| PostingSource::num_values(s.as_ref()))
+                .sum::<usize>()
+                + self
+                    .cold
+                    .iter()
+                    .map(|l| PostingSource::num_values(&l.store))
+                    .sum::<usize>();
+            Arc::new(EngineSnapshot {
+                corpus: Arc::clone(&self.corpus),
+                mem,
+                superkeys: Arc::clone(&self.superkeys),
+                cold: self.cold.clone(),
+                pager: Arc::clone(&self.pager),
+                owners: self.owners_u32(),
+                hasher: self.hasher,
+                epoch: self.source_epoch,
+                num_values_hint: values_hint,
+                num_postings: self.live_postings(),
+                stats: self.stats(),
+                source_cache: self.source_cache.clone(),
+                memo: MemoSlot::new(),
+            })
+        })
     }
 
     /// Drops the engine's cached snapshot. Every mutation path calls this
     /// *before* touching COW state, so the copy-on-write is paid only when
     /// an outstanding reader still pins the data.
     fn invalidate_snapshot(&mut self) {
-        self.snapshot_cache = None;
+        self.snapshot_cache.take();
     }
 
-    /// Invalidation epoch of cached cold-layer resolutions: moves on
-    /// flush, compaction, promotion, and cold tombstones — exactly the
-    /// events that change which cold runs are live.
+    /// Structural epoch of the engine: moves on flush, compaction,
+    /// promotion, and cold tombstones — exactly the events that change
+    /// which cold runs are live.
     pub fn source_epoch(&self) -> u64 {
         self.source_epoch
     }
@@ -2610,13 +2569,7 @@ impl Engine {
     /// Fully decodes the merged posting list of `value` (testing/tooling —
     /// the serving path never materializes whole lists).
     pub fn decoded_postings(&self, value: &str) -> Option<Vec<PostingEntry>> {
-        let source = self.source();
-        let mut scratch = ProbeScratch::new();
-        let handle = source.find_list(value, &mut scratch)?;
-        let mut out = Vec::with_capacity(handle.len as usize);
-        let mut counters = ProbeCounters::default();
-        source.collect_run(handle, 0, handle.len, &mut scratch, &mut out, &mut counters);
-        Some(out)
+        self.current_snapshot().decoded_postings(value)
     }
 }
 
@@ -2730,8 +2683,8 @@ mod tests {
     /// `ranks` table.
     #[test]
     fn pager_rank_is_the_last_acquired() {
-        assert!(ranks::PAGER_CACHE.key() > ranks::COLD_CACHE.key());
-        assert!(ranks::PAGER_CACHE.key() > ranks::SOURCE_REGISTRY.key());
+        assert!(ranks::PAGER_CACHE.key() > ranks::MEMO_SLOT.key());
+        assert!(ranks::PAGER_CACHE.key() > ranks::SOURCE_MEMO.key());
         assert!(ranks::PAGER_CACHE.key() > ranks::SNAPSHOT_SLOT.key());
     }
 

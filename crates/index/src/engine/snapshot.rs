@@ -11,18 +11,21 @@
 //! * the owner map, the **source epoch**, and an [`EngineStats`] counter
 //!   snapshot.
 //!
-//! Nothing in a snapshot is behind a lock and nothing in it ever mutates:
+//! Nothing of that state is behind a lock and none of it ever mutates:
 //! writers replace the engine's `Arc`s (copy-on-write) instead of editing
 //! shared data in place, so a query running over a snapshot is immune to
 //! concurrent flushes, compactions, and ingest — and, symmetrically, never
 //! delays them. Memory of superseded state (an old memtable store, a
 //! compacted-away segment, a pre-edit table payload) is released when the
-//! last snapshot pinning it drops.
+//! last snapshot pinning it drops. The one thing a snapshot adds is the
+//! memo of resolved merged lists that every [`EngineSnapshot::source`]
+//! shares (see [`MergedSource`]): the snapshot never changes, so neither
+//! does a resolution made over it.
 //!
 //! Obtain one from [`Engine::snapshot`](super::Engine::snapshot) or, on the
 //! concurrent handle, [`EngineLake::reader`](super::EngineLake::reader).
 
-use super::merged::{CacheEpoch, LayerRef};
+use super::merged::MemoSlot;
 use super::{ColdLayer, EngineStats, MergedSource, SourceCache};
 use crate::posting::PostingEntry;
 use crate::source::{PostingSource, ProbeCounters, ProbeScratch};
@@ -46,16 +49,18 @@ pub struct EngineSnapshot {
     /// it; holding it here keeps pager stats reachable from any reader).
     pub(super) pager: Arc<mate_storage::pager::PageCache>,
     /// Table id → serving layer in [`MergedSource`] layout.
-    pub(super) owners: Arc<Vec<u32>>,
+    pub(super) owners: Vec<u32>,
     pub(super) hasher: Xash,
-    /// Engine instance the snapshot was taken from (cache identity).
-    pub(super) instance: u64,
     /// [`Engine::source_epoch`](super::Engine::source_epoch) at snapshot
     /// time.
     pub(super) epoch: u64,
     pub(super) num_values_hint: usize,
     pub(super) num_postings: usize,
     pub(super) stats: EngineStats,
+    /// The engine's memo hit/miss counters.
+    pub(super) source_cache: SourceCache,
+    /// The memo every source built from this snapshot shares.
+    pub(super) memo: MemoSlot,
 }
 
 impl std::fmt::Debug for EngineSnapshot {
@@ -127,47 +132,30 @@ impl EngineSnapshot {
         self.pager.stats()
     }
 
-    /// A merged [`PostingSource`] over the snapshot's layers. Construct one
-    /// per batch of queries; it borrows the snapshot, so results are stable
-    /// no matter what the engine does meanwhile.
+    /// Hit/miss counters of the memos the snapshot's sources resolve
+    /// through (shared with the engine and all its snapshots).
+    pub fn source_cache(&self) -> &SourceCache {
+        &self.source_cache
+    }
+
+    /// A merged [`PostingSource`] over the snapshot's layers, resolving
+    /// through the snapshot's memo: every source built from one snapshot
+    /// shares its resolutions, and results are stable no matter what the
+    /// engine does meanwhile.
     pub fn source(&self) -> MergedSource<'_> {
-        self.source_inner(None)
-    }
-
-    /// Like [`EngineSnapshot::source`], but resolving cold-layer runs
-    /// through a shared [`SourceCache`]. The cache is keyed by
-    /// `(instance, epoch)`: a snapshot taken before the cache's current
-    /// generation simply bypasses it (correct, just uncached), so stale
-    /// readers never pollute newer readers' entries — and vice versa.
-    pub fn source_cached<'a>(&'a self, cache: &'a SourceCache) -> MergedSource<'a> {
-        self.source_inner(Some(cache))
-    }
-
-    fn source_inner<'a>(&'a self, cache: Option<&'a SourceCache>) -> MergedSource<'a> {
-        let mut layers: Vec<LayerRef<'a>> = self
+        let layers = self
             .cold
             .iter()
-            .map(|l| LayerRef::Ref(&l.store as &(dyn PostingSource + '_)))
+            .map(|l| &l.store as &dyn PostingSource)
+            .chain(self.mem.iter().map(|s| s.as_ref() as &dyn PostingSource))
             .collect();
-        // The snapshot owns its pins; borrowing them is enough here.
-        for store in &self.mem {
-            layers.push(LayerRef::Ref(store.as_ref()));
-        }
         MergedSource::new(
             layers,
-            self.cold.len(),
-            Arc::clone(&self.owners),
+            &self.owners,
             self.num_values_hint,
             self.num_postings,
-            cache.map(|c| {
-                (
-                    c,
-                    CacheEpoch {
-                        instance: self.instance,
-                        epoch: self.epoch,
-                    },
-                )
-            }),
+            self.memo.get(),
+            &self.source_cache,
         )
     }
 

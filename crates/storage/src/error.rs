@@ -45,6 +45,14 @@ pub enum StorageError {
         /// The underlying error.
         source: std::io::Error,
     },
+    /// A decode error of the named file (`cdelta-…seg: checksum mismatch
+    /// in block 'payload'`).
+    InFile {
+        /// The file whose bytes failed to decode.
+        path: PathBuf,
+        /// The decode error.
+        source: Box<StorageError>,
+    },
     /// The engine is in degraded read-only mode: an unhealable storage
     /// fault was detected (or durability became unknowable) and write
     /// paths refuse rather than risk committing unverifiable state. Reads
@@ -53,6 +61,18 @@ pub enum StorageError {
         /// Why the engine degraded.
         reason: String,
     },
+}
+
+impl StorageError {
+    /// Whether an I/O call failed, as opposed to bytes that failed to
+    /// decode: a failed read says nothing about the data on disk.
+    pub fn is_io(&self) -> bool {
+        match self {
+            StorageError::Io(_) | StorageError::IoAt { .. } => true,
+            StorageError::InFile { source, .. } => source.is_io(),
+            _ => false,
+        }
+    }
 }
 
 /// Attaches operation + path context to raw `std::io` results, turning
@@ -95,6 +115,7 @@ impl fmt::Display for StorageError {
             StorageError::IoAt { op, path, source } => {
                 write!(f, "I/O error while {op} {}: {source}", path.display())
             }
+            StorageError::InFile { path, source } => write!(f, "{}: {source}", path.display()),
             StorageError::Degraded { reason } => {
                 write!(f, "engine degraded to read-only: {reason}")
             }
@@ -107,6 +128,7 @@ impl std::error::Error for StorageError {
         match self {
             StorageError::Io(e) => Some(e),
             StorageError::IoAt { source, .. } => Some(source),
+            StorageError::InFile { source, .. } => Some(source.as_ref()),
             _ => None,
         }
     }

@@ -78,7 +78,7 @@ pub fn unframe(data: &[u8]) -> Result<Bytes, StorageError> {
     let payload = &data[20..];
     if crc32(payload) != crc {
         return Err(StorageError::ChecksumMismatch {
-            block: "manifest".to_string(),
+            block: "payload".to_string(),
         });
     }
     Ok(Bytes::from(payload.to_vec()))
@@ -128,9 +128,14 @@ pub fn load(path: impl AsRef<Path>) -> Result<Bytes, StorageError> {
     load_vfs(&StdVfs, path.as_ref())
 }
 
-/// [`load`] through an explicit [`Vfs`]. Errors carry the path.
+/// [`load`] through an explicit [`Vfs`]. Errors carry the path: a read
+/// failure as [`StorageError::IoAt`], a frame that fails to validate as
+/// [`StorageError::InFile`].
 pub fn load_vfs(vfs: &dyn Vfs, path: &Path) -> Result<Bytes, StorageError> {
-    unframe(&vfs.read(path).io_ctx("reading", path)?)
+    unframe(&vfs.read(path).io_ctx("reading", path)?).map_err(|e| StorageError::InFile {
+        path: path.to_path_buf(),
+        source: Box::new(e),
+    })
 }
 
 #[cfg(test)]
