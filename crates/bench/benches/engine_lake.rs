@@ -26,14 +26,11 @@
 //! are asserted bit-identical to its pre-flush snapshot before anything
 //! is reported.
 //!
-//! **Multi-writer section**: `WRITERS` threads race whole-table staged
-//! inserts (`EngineLake::insert_table` — per-row hashing outside the
-//! engine lock, posting fill under the shard latch alone) and the shard
-//! contention counters (`shard_lock_waits`, `applies_concurrent`) are
-//! reported alongside throughput. Posting-count identity with the
-//! single-writer lake is asserted first. On a single-core box the
-//! counters legitimately read 0 — the deterministic engine tests pin the
-//! contention paths; the bench reports what this machine actually saw.
+//! **Multi-writer section**: `WRITERS` threads race whole-table inserts
+//! (`EngineLake::insert_table`: each append + in-memory apply runs under
+//! the engine write lock, and concurrent inserters share group fsyncs)
+//! and throughput is reported. Posting-count identity with the
+//! single-writer lake is asserted first.
 //!
 //! **Flush-cost section**: dirties a handful of tables, flushes (one
 //! incremental `cdelta-*` record covering only those tables), then
@@ -55,7 +52,7 @@ use std::time::{Duration, Instant};
 const GROUP: usize = 16;
 /// Timed repetitions of each query batch.
 const QUERY_REPS: usize = 3;
-/// Concurrent staged-insert threads in the multi-writer section.
+/// Concurrent inserting threads in the multi-writer section.
 const WRITERS: usize = 4;
 /// Tables dirtied before the measured delta flush in the flush-cost
 /// section.
@@ -88,8 +85,6 @@ struct CorpusRow {
     snapshot_lag_observed: u64,
     mw_secs: f64,
     mw_rows_per_s: f64,
-    shard_lock_waits: u64,
-    applies_concurrent: u64,
     deltas_written: u64,
     flush_bytes_per_dirty_table: f64,
     checkpoint_delta_ratio: f64,
@@ -308,10 +303,10 @@ fn main() {
         drop(reader);
         drop(lake);
 
-        // ---- multi-writer staged ingest ---------------------------------
-        // WRITERS threads race whole-table inserts through the staged
-        // protocol; whole-table inserts commute, so the resulting lake
-        // indexes exactly the same postings as the single-writer one.
+        // ---- multi-writer ingest -----------------------------------------
+        // WRITERS threads race whole-table inserts; whole-table inserts
+        // commute, so the resulting lake indexes exactly the same postings
+        // as the single-writer one.
         let lake = EngineLake::create(base.join(format!("{name}-mw")), fresh_config())
             .expect("create lake");
         let t = Instant::now();
@@ -325,7 +320,7 @@ fn main() {
                             .skip(w)
                             .step_by(WRITERS)
                             .map(|(_, tbl)| {
-                                let id = lake_ref.insert_table(tbl.clone()).expect("staged insert");
+                                let id = lake_ref.insert_table(tbl.clone()).expect("insert");
                                 (id, tbl.num_cols(), tbl.num_rows())
                             })
                             .collect::<Vec<_>>()
@@ -339,7 +334,7 @@ fn main() {
         });
         let mw_secs = t.elapsed().as_secs_f64();
         let mw_stats = lake.stats();
-        assert_eq!(mw_stats.tables, corpus.len(), "every staged insert landed");
+        assert_eq!(mw_stats.tables, corpus.len(), "every insert landed");
         assert_eq!(
             mw_stats.live_postings, stats.live_postings,
             "multi-writer ingest must index the same posting count"
@@ -430,8 +425,6 @@ fn main() {
             snapshot_lag_observed,
             mw_secs,
             mw_rows_per_s: total_rows as f64 / mw_secs.max(1e-9),
-            shard_lock_waits: mw_stats.shard_lock_waits,
-            applies_concurrent: mw_stats.applies_concurrent,
             deltas_written: s2.deltas_written,
             flush_bytes_per_dirty_table,
             checkpoint_delta_ratio,
@@ -492,14 +485,12 @@ fn main() {
     report.print();
 
     let mut report2 = Report::new(
-        "EngineLake: staged multi-writer ingest + delta checkpoint cost",
+        "EngineLake: multi-writer ingest + delta checkpoint cost",
         &[
             "Corpus",
             "Writers",
             "MW ingest",
             "rows/s",
-            "Lock waits",
-            "Concurrent",
             "Deltas",
             "B/dirty tbl",
             "Delta/full",
@@ -511,21 +502,15 @@ fn main() {
             WRITERS.to_string(),
             fmt_duration(Duration::from_secs_f64(r.mw_secs)),
             format!("{:.0}", r.mw_rows_per_s),
-            r.shard_lock_waits.to_string(),
-            r.applies_concurrent.to_string(),
             r.deltas_written.to_string(),
             format!("{:.0}", r.flush_bytes_per_dirty_table),
             format!("{:.3}", r.checkpoint_delta_ratio),
         ]);
     }
     report2.note(format!(
-        "{WRITERS} threads race EngineLake::insert_table (staged protocol); \
+        "{WRITERS} threads race EngineLake::insert_table; \
          posting-count identity with the single-writer lake asserted first"
     ));
-    report2.note(
-        "contention counters are exact but machine-dependent (0 on one core); \
-         the engine tests pin the contended paths deterministically",
-    );
     report2.note(format!(
         "delta flush covers {DIRTY_TABLES} dirty tables; asserted smaller than \
          the monolithic checkpoint the compaction fold rewrites"
@@ -555,7 +540,6 @@ fn main() {
              \"query_us_during_flush\": {:.1}, \"flush_ms_with_open_reader\": {:.2}, \
              \"snapshot_lag_observed\": {}, \
              \"multi_writer_ingest_secs\": {:.4}, \"multi_writer_rows_per_s\": {:.1}, \
-             \"shard_lock_waits\": {}, \"applies_concurrent\": {}, \
              \"deltas_written\": {}, \"flush_bytes_per_dirty_table\": {:.1}, \
              \"checkpoint_delta_ratio\": {:.4}}}{}",
             r.name,
@@ -584,8 +568,6 @@ fn main() {
             r.snapshot_lag_observed,
             r.mw_secs,
             r.mw_rows_per_s,
-            r.shard_lock_waits,
-            r.applies_concurrent,
             r.deltas_written,
             r.flush_bytes_per_dirty_table,
             r.checkpoint_delta_ratio,

@@ -94,10 +94,9 @@ pub struct DiscoveryStats {
     /// Worker threads used by the per-table loop (1 = sequential).
     pub query_threads: usize,
     /// Posting layers that served the query: 0 when probing a plain
-    /// hot/cold index directly, `cold segments + memtable shards` when
+    /// hot/cold index directly, `cold segments + 1` (the memtable) when
     /// running over the multi-segment engine (set by
-    /// [`crate::engine_query::discover_snapshot`]; the shard count is
-    /// [`EngineConfig::apply_shards`](mate_index::engine::EngineConfig::apply_shards)).
+    /// [`crate::engine_query::discover_snapshot`]).
     pub source_layers: usize,
     /// Merged-list resolutions answered by the serving snapshot's memo
     /// during this query, repeats within the query included (set by

@@ -171,42 +171,27 @@ proptest! {
         prop_assert_eq!(mem_only.num_cold_segments(), 0);
         assert_equivalent(&mem_only, &query, k);
 
-        // Tiny budget: the same workload through many flush states — and
-        // bit-identical results for every shard count of the partitioned
-        // memtable apply path. (Budget-driven flush *timing* may differ
-        // across shard counts — interned value text is per-shard memory —
-        // so byte-level segment identity is asserted separately, with
-        // explicit flushes, in `segment_bytes_identical_across_shard_counts`.)
-        for shards in [1usize, 2, 8] {
-            let cfg = EngineConfig {
-                apply_shards: shards,
-                ..engine_config(2048)
-            };
-            let d = dir.join(format!("flush{shards}"));
-            let mut flushed = Engine::create(&d, cfg.clone()).unwrap();
-            for r in &records {
-                flushed.apply(r.clone()).unwrap();
-            }
-            prop_assert!(flushed.stats().flushes >= 1, "budget must force flushes");
-            assert_equivalent(&flushed, &query, k);
-
-            // Compaction folds the stack without changing any result.
-            let before = flushed.num_cold_segments();
-            flushed.compact().unwrap();
-            if before >= 2 {
-                prop_assert_eq!(flushed.num_cold_segments(), 1);
-            }
-            assert_equivalent(&flushed, &query, k);
-
-            // Recovery from manifest + WAL tail reproduces the same state
-            // (reopened with the *default* shard count: sharding is a
-            // memory-only layout, invisible to the on-disk format).
-            drop(flushed);
-            let reopened = Engine::open(&d, engine_config(2048)).unwrap();
-            assert_equivalent(&reopened, &query, k);
+        // Tiny budget: the same workload through many flush states.
+        let d = dir.join("flush");
+        let mut flushed = Engine::create(&d, engine_config(2048)).unwrap();
+        for r in &records {
+            flushed.apply(r.clone()).unwrap();
         }
+        prop_assert!(flushed.stats().flushes >= 1, "budget must force flushes");
+        assert_equivalent(&flushed, &query, k);
 
-        let reopened = Engine::open(dir.join("flush8"), engine_config(2048)).unwrap();
+        // Compaction folds the stack without changing any result.
+        let before = flushed.num_cold_segments();
+        flushed.compact().unwrap();
+        if before >= 2 {
+            prop_assert_eq!(flushed.num_cold_segments(), 1);
+        }
+        assert_equivalent(&flushed, &query, k);
+
+        // Recovery from manifest + WAL tail reproduces the same state.
+        drop(flushed);
+        let reopened = Engine::open(&d, engine_config(2048)).unwrap();
+        assert_equivalent(&reopened, &query, k);
 
         // The shared EngineLake handle serves the same bits, from
         // concurrent reader threads ∈ {1, 2, 4}, with the cold-resolution
@@ -245,52 +230,4 @@ proptest! {
 
         std::fs::remove_dir_all(dir).ok();
     }
-}
-
-/// Flush canonicalizes the union of all memtable shards (one sorted run
-/// per value) before writing, so with *identical flush points* every
-/// persisted artifact — segments, corpus checkpoint, delta chain, WAL —
-/// must be byte-for-byte identical for every shard count.
-#[test]
-fn segment_bytes_identical_across_shard_counts() {
-    let (corpus, _query) = build_lake(4242, 12, 2);
-    let base = tmpdir("shard-bytes");
-    let records = workload(&corpus, 4242, &base);
-
-    let mut prints: Vec<std::collections::BTreeMap<String, Vec<u8>>> = Vec::new();
-    for shards in [1usize, 2, 8] {
-        let d = base.join(format!("s{shards}"));
-        let mut e = Engine::create(
-            &d,
-            EngineConfig {
-                apply_shards: shards,
-                ..engine_config(1 << 30)
-            },
-        )
-        .unwrap();
-        for (i, r) in records.iter().enumerate() {
-            e.apply(r.clone()).unwrap();
-            if i % 5 == 4 {
-                e.flush().unwrap();
-            }
-        }
-        drop(e);
-        let print: std::collections::BTreeMap<String, Vec<u8>> = std::fs::read_dir(&d)
-            .unwrap()
-            .flatten()
-            .map(|f| f.file_name().to_string_lossy().into_owned())
-            .map(|n| {
-                let bytes = std::fs::read(d.join(&n)).unwrap();
-                (n, bytes)
-            })
-            .collect();
-        prints.push(print);
-    }
-    assert_eq!(
-        prints[0].keys().collect::<Vec<_>>(),
-        prints[1].keys().collect::<Vec<_>>()
-    );
-    assert_eq!(prints[0], prints[1], "shards=1 vs shards=2 disk bytes");
-    assert_eq!(prints[0], prints[2], "shards=1 vs shards=8 disk bytes");
-    std::fs::remove_dir_all(base).ok();
 }

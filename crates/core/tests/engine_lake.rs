@@ -312,8 +312,8 @@ proptest! {
     }
 
     /// K writer threads own **disjoint table ranges** and race each other
-    /// (plus a flush/compaction churn thread). Whole-table inserts go
-    /// through the staged shard path concurrently; row edits target only
+    /// (plus a flush/compaction churn thread). Whole-table inserts race
+    /// for the engine write lock; row edits target only
     /// the writer's own tables. Because edits to disjoint tables commute,
     /// the final state must be bit-identical to a sequential engine that
     /// applies the same records thread-major — per-table corpus bytes,
@@ -324,16 +324,13 @@ proptest! {
     fn disjoint_multi_writer_matches_sequential_apply(
         seed in 0u64..10_000,
         writers in 2usize..5,
-        shard_pick in 0usize..3,
     ) {
-        let shards = [1usize, 2, 8][shard_pick];
         let (corpus, query) = build_lake(seed, 8, 2);
-        let dir = tmpdir(&format!("mw{seed}-{writers}-{shards}"));
+        let dir = tmpdir(&format!("mw{seed}-{writers}"));
         let cfg = EngineConfig {
             memtable_budget_bytes: 4096,
             max_cold_segments: 3,
             tier_fanout: 2,
-            apply_shards: shards,
             ..EngineConfig::default()
         };
         let lake = EngineLake::create(dir.join("lake"), cfg).unwrap();
@@ -349,7 +346,7 @@ proptest! {
             })
             .collect();
 
-        // Phase 1: concurrent staged whole-table inserts, round-robin.
+        // Phase 1: concurrent whole-table inserts, round-robin.
         // Ids are allocated under the engine lock, so they are dense and
         // unique, but their order depends on scheduling — the check is
         // set-equality plus single-shot rebuild identity.

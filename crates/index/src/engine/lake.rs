@@ -44,8 +44,8 @@
 //!   not from weakening the contract. A flush rotation also completes
 //!   waiters: rotation folds every applied record into the flushed
 //!   segment + checkpoint behind the manifest flip, which is itself
-//!   durable. The sequential sync path remains available as
-//!   [`Engine::apply`] with `group_commit == 1`.
+//!   durable. The sequential path, one fsync per record, remains
+//!   available as [`Engine::apply`].
 //!
 //! Readers of one published snapshot share its memo of resolved merged
 //! lists (see [`MergedSource`]), so a query stream pays the multi-layer
@@ -64,11 +64,9 @@
 
 use super::ranks;
 use super::{
-    prepare_insert, Engine, EngineConfig, EngineSnapshot, EngineStats, MergedSource, SourceCache,
-    WalTicket,
+    Engine, EngineConfig, EngineSnapshot, EngineStats, MergedSource, SourceCache, WalTicket,
 };
 use crate::wal::WalRecord;
-use mate_hash::Xash;
 use mate_obs::lockrank::{RankedCondvar, RankedMutex, RankedRwLock};
 use mate_obs::Obs;
 use mate_storage::{StorageError, VfsFile};
@@ -100,10 +98,6 @@ struct CommitQueue {
 /// writers (see module docs).
 pub struct EngineLake {
     engine: RankedRwLock<Engine>,
-    /// Copy of the engine's row hasher, so [`EngineLake::insert_table`]
-    /// can run phase A of the staged protocol (per-row super-key hashing)
-    /// without touching the engine lock.
-    hasher: Xash,
     /// The most recently published snapshot — always valid, replaced (never
     /// mutated) under the engine write lock after every write batch.
     published: RankedMutex<Arc<EngineSnapshot>>,
@@ -169,12 +163,10 @@ impl EngineLake {
             file: engine.wal_try_clone().ok().map(Arc::from),
         };
         let published = engine.snapshot();
-        let hasher = engine.hasher;
         let obs = Arc::clone(engine.obs());
         let group_syncs = obs.counter("lake.group_syncs");
         EngineLake {
             engine: RankedRwLock::new(ranks::ENGINE_WRITE, engine),
-            hasher,
             published: RankedMutex::new(ranks::SNAPSHOT_SLOT, published),
             commit: RankedMutex::new(ranks::COMMIT_QUEUE, queue),
             commit_cv: RankedCondvar::new(),
@@ -222,16 +214,14 @@ impl EngineLake {
     pub fn stats(&self) -> EngineStats {
         let mut stats = self.published.lock().stats().clone();
         // The published snapshot freezes most counters, but a handful
-        // mutate *between* publishes (shard contention and fault
-        // injections tick outside the engine lock; scrub counters tick
-        // mid-pass while the pre-scrub snapshot is still published).
+        // mutate *between* publishes (fault injections tick outside the
+        // engine lock; scrub counters tick mid-pass while the pre-scrub
+        // snapshot is still published).
         // Overlay those from ONE locked registry pass so the returned
         // struct is internally coherent — no field can be newer than
         // another field read in the same pass.
         for (name, v) in self.obs.registry().counter_values() {
             match name.as_str() {
-                "engine.shard_lock_waits" => stats.shard_lock_waits = v,
-                "engine.applies_concurrent" => stats.applies_concurrent = v,
                 "engine.scrub_runs" => stats.scrub_runs = v,
                 "engine.scrub_corruptions_found" => stats.scrub_corruptions_found = v,
                 "engine.segments_quarantined" => stats.segments_quarantined = v,
@@ -275,40 +265,14 @@ impl EngineLake {
     /// under the write lock, then blocks until a group fsync (or a flush
     /// rotation) covers the record. Durable from the moment this returns.
     pub fn apply(&self, record: WalRecord) -> Result<(), StorageError> {
-        let ticket = self.append(record)?;
+        let (ticket, _) = self.append(record)?;
         self.wait_durable(ticket)
     }
 
     /// Convenience: insert a table durably; returns its id (allocated
     /// under the write lock, so concurrent inserters get distinct ids).
-    ///
-    /// This is the staged fast path: per-row super-key hashing (phase A)
-    /// runs before any lock is taken, the engine write lock covers only
-    /// the WAL frame append plus the O(1) corpus/super-key install
-    /// (phase B), and the posting fill (phase C) runs under the target
-    /// shard's latch alone — inserters whose tables land on different
-    /// shards fill concurrently. The snapshot is republished (after a
-    /// rendezvous) once the fill completes, so readers never observe a
-    /// half-filled table.
     pub fn insert_table(&self, table: Table) -> Result<TableId, StorageError> {
-        let prep = prepare_insert(&table, &self.hasher);
-        let (ticket, task) = {
-            let mut engine = self.engine.write();
-            let staged = engine.stage_nosync(table, prep);
-            // Publish WAL progress so a concurrent leader's fsync can
-            // cover this frame, but do NOT publish a snapshot yet: that
-            // would rendezvous on our own still-unrun task.
-            self.refresh_commit(&engine);
-            staged?
-        };
-        let id = task.tid;
-        task.run();
-        {
-            let mut engine = self.engine.write();
-            let budget = self.flush_budget(&mut engine);
-            self.finish_write(&mut engine);
-            budget?;
-        }
+        let (ticket, id) = self.append(WalRecord::InsertTable { table })?;
         self.wait_durable(ticket)?;
         Ok(id)
     }
@@ -388,8 +352,13 @@ impl EngineLake {
 
     // ------------------------------------------------- group commit core --
 
-    fn append(&self, record: WalRecord) -> Result<WalTicket, StorageError> {
+    /// Appends and applies one record under the write lock (unsynced),
+    /// then runs the budgets and publishes. Returns the record's ticket and
+    /// the table count at append time, which is the id an inserted table
+    /// takes.
+    fn append(&self, record: WalRecord) -> Result<(WalTicket, TableId), StorageError> {
         let mut engine = self.engine.write();
+        let id = TableId::from(engine.corpus().len());
         let result = engine.apply_nosync(record);
         let budget = match &result {
             Ok(_) => self.flush_budget(&mut engine),
@@ -398,7 +367,7 @@ impl EngineLake {
         self.finish_write(&mut engine);
         let ticket = result?;
         budget?;
-        Ok(ticket)
+        Ok((ticket, id))
     }
 
     /// Runs the flush/compaction budgets after an append. A failure here
@@ -427,16 +396,10 @@ impl EngineLake {
     /// always, success or failure, so readers and the queue observe every
     /// in-memory transition in append order.
     fn finish_write(&self, engine: &mut Engine) {
-        // Take the snapshot (briefly holding apply-quiesce/shard-latch
-        // ranks) *before* touching the snapshot-slot lock: rank 25/30
-        // acquisitions must not happen under rank 50.
+        // Build the snapshot before taking the snapshot slot, so the slot
+        // is held only for the pointer swap.
         let snapshot = engine.snapshot();
         *self.published.lock() = snapshot;
-        self.refresh_commit(engine);
-    }
-
-    /// The commit-queue half of [`EngineLake::finish_write`].
-    fn refresh_commit(&self, engine: &Engine) {
         let mut q = self.commit.lock();
         if q.epoch != engine.wal_seq() {
             // Rotation: every record of the previous epoch is folded into

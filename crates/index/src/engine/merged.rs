@@ -181,8 +181,7 @@ impl MemoSlot {
 
 /// A read-only union of posting layers with newest-wins table masking.
 pub struct MergedSource<'a> {
-    /// Cold segment stores oldest → newest, then the memtable shard
-    /// stores.
+    /// Cold segment stores oldest → newest, then the memtable store.
     layers: Vec<&'a dyn PostingSource>,
     /// Table id → index into `layers` of its owner, or [`NO_OWNER`].
     owners: &'a [u32],
@@ -224,7 +223,7 @@ impl<'a> MergedSource<'a> {
         }
     }
 
-    /// Number of layers in the union (cold segments + memtable shards).
+    /// Number of layers in the union (cold segments + the memtable).
     pub fn num_layers(&self) -> usize {
         self.layers.len()
     }

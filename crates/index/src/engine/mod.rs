@@ -9,7 +9,7 @@
 //!              writes                          reads
 //!                │                               │
 //!                ▼                               ▼
-//!   WAL ──► memtable (N posting shards) ─┐  MergedSource
+//!   WAL ──► memtable (PostingStore) ─────┐  MergedSource
 //!   wal-S.log      │ flush (byte budget) ├──  newest-wins union
 //!                  ▼                     │    over all layers
 //!        seg-N.seg (immutable, cold) ────┤
@@ -18,27 +18,15 @@
 //!                  └── compaction merges the stack, drops tombstones
 //! ```
 //!
-//! * **Memtable (sharded)** — the hot postings live in
-//!   [`EngineConfig::apply_shards`] independent [`PostingStore`]s, each
-//!   behind its own latch; a table's postings land wholly on the shard
-//!   `shard_of` picks from its id. The *global* super-key store stays
-//!   engine-resident (super keys are per-row and small; keeping them
-//!   global makes row filtering identical across serving modes). Edits
-//!   arrive as [`WalRecord`]s: appended to `wal-<seq>.log` and fsynced
-//!   *first* (write-ahead rule), then applied through [`IndexUpdater`].
-//!   Whole-table inserts — the dominant ingest record — run a **staged
-//!   protocol**: (A) per-row super-key hashing with no lock held
-//!   (`prepare_insert`), (B) WAL frame append plus O(1) corpus /
-//!   super-key install under the engine lock (`Engine::stage_nosync`),
-//!   (C) the posting fill under the target shard's latch alone
-//!   (`ShardTask::run`). Concurrent inserters whose tables hash to
-//!   different shards rendezvous only at the WAL append (B) and at the
-//!   next snapshot publish — cross-shard readers (flush, snapshot,
-//!   inline non-insert records) wait for in-flight fills via
-//!   `Engine::rendezvous`, so no observer ever sees a table whose
-//!   corpus row exists but whose postings are mid-fill. Flush
-//!   canonicalizes the union of all shards into one sorted run per
-//!   value, so segment bytes are bit-identical for every shard count.
+//! * **Memtable** — the hot postings of every memtable-owned table live in
+//!   one [`PostingStore`], next to the engine-resident *global* super-key
+//!   store (super keys are per-row and small; keeping them global makes
+//!   row filtering identical across serving modes). Edits arrive as
+//!   [`WalRecord`]s: appended to `wal-<seq>.log` and fsynced *first*
+//!   (write-ahead rule), then applied through one [`IndexUpdater`]
+//!   transition — whole-table inserts included, on live writes and on
+//!   replay alike. Writes go through `Arc::make_mut` under `&mut Engine`,
+//!   so the store needs no latch of its own.
 //! * **Ownership / claims** — masking is tracked at table granularity.
 //!   Each layer *claims* the tables whose postings it carries; the newest
 //!   claim wins. Editing a table whose postings live in a cold segment
@@ -52,7 +40,7 @@
 //!   an immutable segment (the standard index blocks plus an `engine.claims`
 //!   block), the corpus checkpoint advances **incrementally**, the WAL
 //!   rotates to a fresh file, and the [`Manifest`] is atomically
-//!   replaced. Only then are the shards cleared. A crash at *any* byte of
+//!   replaced. Only then is the memtable cleared. A crash at *any* byte of
 //!   this sequence recovers: the manifest flip is the commit point, and
 //!   everything it references is fsynced before the flip.
 //! * **Corpus delta checkpoints** — instead of rewriting the whole
@@ -71,7 +59,7 @@
 //!   cold (zero-copy, no posting decode), materializes super keys from the
 //!   newest segment (which always carries them as of the WAL watermark),
 //!   loads the corpus checkpoint plus its delta chain, replays the active
-//!   WAL into fresh shards, and deletes orphan files from interrupted
+//!   WAL into a fresh memtable, and deletes orphan files from interrupted
 //!   flushes.
 //! * **Compaction** — [`Engine::compact_tiered`] runs a **size-tiered
 //!   policy**: segments are bucketed into factor-4 size classes, and
@@ -87,13 +75,12 @@
 //!   untouched (the checkpoint chain only folds, at the same watermark), so
 //!   crash recovery around compaction needs no special cases.
 //! * **Group commit** — [`Engine::apply`] acknowledges a record once its
-//!   WAL frame is fsynced. With [`EngineConfig::group_commit`] > 1 the
-//!   fsync is deferred: records are buffered (written, not yet synced) and
-//!   one `fdatasync` acknowledges the whole window — a crash may lose the
-//!   buffered tail, never a synced prefix. [`Engine::apply_nosync`] +
-//!   [`Engine::sync_wal`] expose the two halves for callers (the
-//!   [`EngineLake`] group-commit protocol, tests) that manage the window
-//!   themselves.
+//!   WAL frame is fsynced. [`Engine::apply_nosync`] + [`Engine::sync_wal`]
+//!   expose the two halves for callers (the [`EngineLake`] group-commit
+//!   protocol, tests) that defer the fsync themselves: records are
+//!   buffered (written, not yet synced) and one `fdatasync` acknowledges
+//!   the whole window — a crash may lose the buffered tail, never a
+//!   synced prefix.
 //!
 //! # Durability guarantee (one commit primitive)
 //!
@@ -187,20 +174,15 @@
 //! |-------|-----------------|-------------------------------------------------|
 //! | 10.0  | engine-write    | `EngineLake::engine` (`RankedRwLock<Engine>`)   |
 //! | 20.0  | commit-queue    | `EngineLake::commit` group-commit queue + cv    |
-//! | 25.0  | apply-quiesce   | `Quiesce::in_flight` staged-apply rendezvous    |
-//! | 30.i  | shard-latch     | `MemShard::store` latch of shard *i* (ascending)|
 //! | 40.0  | memo-slot       | `MemoSlot::current` a snapshot's memo slot      |
 //! | 40.1  | source-memo     | the memo of resolved merged lists               |
 //! | 50.0  | snapshot-slot   | `EngineLake::published` snapshot slot           |
 //! | 55.0  | pager-cache     | `mate_storage::pager::PageCache::inner` page map|
 //!
 //! Notable legal paths: a lake writer holds `engine-write` while pushing
-//! to `commit-queue` (10 → 20); a staged applier releases its shard latch
-//! *before* leaving the `apply-quiesce` rendezvous (30 dropped, then 25 —
-//! never nested); `with_updater` takes all shard latches in ascending
-//! shard order (30.0 → 30.1 → …); snapshot publication takes
-//! `snapshot-slot` only after the engine snapshot (and its brief 25/30
-//! holds) completed. `memo-slot` nests `source-memo` only to read the
+//! to `commit-queue` (10 → 20); snapshot publication takes
+//! `snapshot-slot` only after the engine snapshot was built under
+//! `engine-write` (10 → 50). `memo-slot` nests `source-memo` only to read the
 //! memo's size when handing it to a new source (40.0 → 40.1).
 //! `pager-cache` is always acquired *last*: cold probes fault pages in
 //! while holding `source-memo` (`MergedSource::collect_run` holds its
@@ -224,13 +206,12 @@ use crate::cold::ColdPostingStore;
 use crate::persist;
 use crate::posting::PostingEntry;
 use crate::source::PostingSource;
-use crate::store::{shard_of, PostingStore};
+use crate::store::PostingStore;
 use crate::superkeys::SuperKeyStore;
 use crate::updates::IndexUpdater;
 use crate::wal::{self, frame_record, WalRecord};
 use bytes::Bytes;
 use mate_hash::{HashSize, RowHasher, Xash};
-use mate_obs::lockrank::{RankedCondvar, RankedMutex, RankedMutexGuard};
 use mate_obs::Obs;
 use mate_storage::manifest::write_file_atomic_vfs;
 use mate_storage::pager::{PageCache, DEFAULT_PAGE_SIZE};
@@ -316,19 +297,6 @@ pub(crate) mod ranks {
     pub const ENGINE_WRITE: Rank = Rank::new(10, 0, "engine-write");
     /// The lake's group-commit queue (`EngineLake::commit`).
     pub const COMMIT_QUEUE: Rank = Rank::new(20, 0, "commit-queue");
-    /// The staged-apply rendezvous count (`Quiesce::in_flight`). Part of
-    /// the shard-latch domain: appliers take it strictly *after*
-    /// releasing their shard latch, stagers take it under the engine
-    /// write lock — both orders are increasing.
-    pub const APPLY_QUIESCE: Rank = Rank::new(25, 0, "apply-quiesce");
-    /// Latch of memtable shard `i`. Multi-shard holders (`with_updater`)
-    /// acquire in ascending shard order, which is exactly ascending
-    /// minor-rank order.
-    pub fn shard_latch(i: usize) -> Rank {
-        // Shard counts are small (defaults near the core count); minors
-        // only need to stay distinct and ascending per shard index.
-        Rank::new(30, i as u16, "shard-latch")
-    }
     /// A snapshot's memo slot (`MemoSlot::current`). Held only to swap a
     /// full memo and hand out the current one.
     pub const MEMO_SLOT: Rank = Rank::new(40, 0, "memo-slot");
@@ -369,31 +337,11 @@ pub struct EngineConfig {
     /// Auto-compact when the cold stack grows beyond this many segments
     /// after a flush (`0` disables auto-compaction).
     pub max_cold_segments: usize,
-    /// Posting block length of flushed segments.
-    pub block_len: usize,
-    /// Group-commit window of the sequential [`Engine::apply`] path: how
-    /// many WAL records may share one fsync. `1` (the default) fsyncs
-    /// every record before acknowledging it — the strongest contract, and
-    /// the one the crash-recovery tests assume. With a window of `n`,
-    /// records are buffered and one fsync acknowledges up to `n` of them;
-    /// a crash loses at most the unsynced tail of the current window
-    /// (call [`Engine::sync_wal`] to close a window early).
-    /// [`EngineLake::apply`] ignores this knob — it always blocks until a
-    /// covering group fsync, batching across concurrent writers instead.
-    pub group_commit: usize,
     /// Size-tiered compaction fanout: merge the oldest `tier_fanout`
     /// segments of a size class once the class holds that many. Values
     /// below 2 disable tiering — auto-compaction falls back to the
     /// full-stack [`Engine::compact`].
     pub tier_fanout: usize,
-    /// Number of memtable apply shards: the posting store is
-    /// hash-partitioned by table id (`shard_of`) into this many latches,
-    /// so staged whole-table inserts to different shards apply
-    /// concurrently. The partitioning is memory-layout only — flush
-    /// canonicalizes the union, so on-disk segments (and every query
-    /// result) are bit-identical across shard counts. Defaults to
-    /// `min(cores, 8)`; values below 1 are treated as 1.
-    pub apply_shards: usize,
     /// The filesystem behind every durability-relevant I/O call of the
     /// engine (WAL, segments, checkpoints, manifest, GC). [`StdVfs`] in
     /// production; tests inject a [`mate_storage::FaultVfs`] to exercise
@@ -411,19 +359,12 @@ pub struct EngineConfig {
     /// [`EngineConfig::vfs`]).
     pub cold_cache_budget_bytes: usize,
     /// The observability hub this engine records into: its volatile
-    /// counters (shard contention, scrub, fault injections) live as
-    /// registry metrics here, and maintenance operations (flush, compact,
-    /// scrub, recovery, quarantine/rebuild, degrade) emit spans/events
-    /// when the hub is enabled. Each `EngineConfig::default()` makes a
+    /// counters (scrub, fault injections) live as registry metrics here,
+    /// and maintenance operations (flush, compact, scrub, recovery,
+    /// quarantine/rebuild, degrade) emit spans/events when the hub is
+    /// enabled. Each `EngineConfig::default()` makes a
     /// fresh hub; share one `Arc` across engines to aggregate.
     pub obs: Arc<Obs>,
-}
-
-fn default_apply_shards() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(8)
 }
 
 impl Default for EngineConfig {
@@ -432,162 +373,11 @@ impl Default for EngineConfig {
             hash_size: HashSize::B128,
             memtable_budget_bytes: 32 << 20,
             max_cold_segments: 6,
-            block_len: postings::DEFAULT_BLOCK_LEN,
-            group_commit: 1,
             tier_fanout: 4,
-            apply_shards: default_apply_shards(),
             vfs: Arc::new(StdVfs),
             scrub_every_flushes: 0,
             cold_cache_budget_bytes: 64 << 20,
             obs: Arc::new(Obs::new()),
-        }
-    }
-}
-
-/// One hash-partitioned memtable shard: the posting store of every
-/// memtable-owned table whose id maps here (`shard_of`), behind its own
-/// latch. The store sits in an `Arc` so snapshots pin it by refcount; a
-/// shard write goes through `Arc::make_mut`, which copies only the chunked
-/// pieces a pinned snapshot still shares (see [`crate::store`]).
-pub(crate) struct MemShard {
-    store: RankedMutex<Arc<PostingStore>>,
-}
-
-fn new_shards(config: &EngineConfig) -> Arc<Vec<MemShard>> {
-    Arc::new((0..config.apply_shards.max(1)).map(MemShard::new).collect())
-}
-
-impl MemShard {
-    fn new(idx: usize) -> Self {
-        MemShard {
-            store: RankedMutex::new(ranks::shard_latch(idx), Arc::new(PostingStore::new())),
-        }
-    }
-
-    /// Pins the shard's current store (brief latch hold, no copy).
-    fn pin(&self) -> Arc<PostingStore> {
-        Arc::clone(&self.store.lock())
-    }
-}
-
-/// Rendezvous state for staged shard applies: how many [`ShardTask`]s are
-/// between `stage` (engine lock held) and the end of `run` (shard latch
-/// only). Readers of cross-shard state (flush, snapshot publish) wait for
-/// zero so they never observe a table whose corpus row exists but whose
-/// postings are still being written.
-struct Quiesce {
-    in_flight: RankedMutex<usize>,
-    cv: RankedCondvar,
-}
-
-impl Quiesce {
-    fn new() -> Self {
-        Quiesce {
-            in_flight: RankedMutex::new(ranks::APPLY_QUIESCE, 0),
-            cv: RankedCondvar::new(),
-        }
-    }
-}
-
-/// Contention counters of the sharded apply path: registry counter
-/// handles (bumped by [`ShardTask::run`] outside any engine lock), so
-/// they appear in the engine's metric catalog by name.
-#[derive(Debug)]
-struct ShardCounters {
-    /// Shard latch acquisitions that had to block (another applier held
-    /// the same shard). Disjoint-shard appliers never bump this.
-    /// Registered as `engine.shard_lock_waits`.
-    lock_waits: Arc<mate_obs::Counter>,
-    /// Staged applies that entered while at least one other staged apply
-    /// was still in flight (true write concurrency, loads or not).
-    /// Registered as `engine.applies_concurrent`.
-    concurrent: Arc<mate_obs::Counter>,
-}
-
-impl ShardCounters {
-    fn new(obs: &Obs) -> Self {
-        ShardCounters {
-            lock_waits: obs.counter("engine.shard_lock_waits"),
-            concurrent: obs.counter("engine.applies_concurrent"),
-        }
-    }
-}
-
-/// Per-row super-key words of a table, computed **outside** every engine
-/// lock (hashing dominates insert cost). OR-aggregation is commutative
-/// and starts from zero, so the result is bit-identical to what the
-/// locked [`IndexUpdater`] path derives.
-pub(crate) struct InsertPrep {
-    words: Vec<u64>,
-}
-
-/// Phase A of the staged insert protocol: hash every non-empty cell of
-/// `table` into per-row super keys. Takes no locks; call before entering
-/// the engine write lock.
-pub(crate) fn prepare_insert(table: &Table, hasher: &Xash) -> InsertPrep {
-    let mut sk = SuperKeyStore::new(hasher.hash_size());
-    let tid = sk.push_table(table.num_rows());
-    for col in table.columns() {
-        for (ri, v) in col.values.iter().enumerate() {
-            if !v.is_empty() {
-                let h = hasher.hash_value(v);
-                sk.or_into(tid, RowId::from(ri), h.words());
-            }
-        }
-    }
-    InsertPrep {
-        words: sk.table_words(tid).to_vec(),
-    }
-}
-
-/// A staged whole-table insert, ready to fill its memtable shard. Created
-/// under the engine write lock by [`Engine::stage_nosync`] (phase B: WAL
-/// append + corpus/super-key/ownership install); [`ShardTask::run`]
-/// (phase C) needs **no** engine access — it takes only the target
-/// shard's latch, so staged inserts to different shards fill
-/// concurrently.
-///
-/// Every staged task MUST be run before the staging caller performs any
-/// rendezvousing operation (snapshot, flush) on the same thread — the
-/// rendezvous would wait for this task forever.
-pub(crate) struct ShardTask {
-    shards: Arc<Vec<MemShard>>,
-    shard: usize,
-    corpus: Arc<Corpus>,
-    tid: TableId,
-    quiesce: Arc<Quiesce>,
-    counters: Arc<ShardCounters>,
-}
-
-impl ShardTask {
-    /// Fills the shard with the staged table's postings (row-major, the
-    /// same cell order as the locked updater path), then leaves the
-    /// in-flight rendezvous.
-    pub(crate) fn run(self) {
-        let shard = &self.shards[self.shard];
-        let mut guard = match shard.store.try_lock() {
-            Some(g) => g,
-            None => {
-                self.counters.lock_waits.inc();
-                shard.store.lock()
-            }
-        };
-        let store = Arc::make_mut(&mut *guard);
-        let table = self.corpus.table(self.tid);
-        for ri in 0..table.num_rows() {
-            for (ci, col) in table.columns().iter().enumerate() {
-                let v = &col.values[ri];
-                if !v.is_empty() {
-                    let vid = store.intern(v);
-                    store.insert_sorted(vid, PostingEntry::new(self.tid, ci as u32, ri as u32));
-                }
-            }
-        }
-        drop(guard);
-        let mut n = self.quiesce.in_flight.lock();
-        *n -= 1;
-        if *n == 0 {
-            self.quiesce.cv.notify_all();
         }
     }
 }
@@ -751,7 +541,7 @@ impl ColdLayer {
     }
 }
 
-/// Counter snapshot of an engine (reported by the `engine_ingest` bench).
+/// Counter snapshot of an engine.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Live posting entries in the memtable.
@@ -774,9 +564,9 @@ pub struct EngineStats {
     pub compactions: u64,
     /// WAL records appended by this instance.
     pub wal_records: u64,
-    /// WAL fsyncs issued by this instance (group commit amortizes several
-    /// records per fsync; with `group_commit == 1` this tracks
-    /// `wal_records`).
+    /// WAL fsyncs issued by this instance ([`Engine::apply`] fsyncs every
+    /// record, so it tracks `wal_records` there; a deferred window closed
+    /// by one [`Engine::sync_wal`] counts once).
     pub wal_syncs: u64,
     /// WAL records replayed at open.
     pub replayed_records: u64,
@@ -793,13 +583,6 @@ pub struct EngineStats {
     /// Total payload bytes of full (monolithic) corpus checkpoints
     /// written, including delta folds at compaction.
     pub checkpoint_full_bytes: u64,
-    /// Shard latch acquisitions that had to block on another applier
-    /// (see [`EngineConfig::apply_shards`]). Writers over disjoint shards
-    /// never contend.
-    pub shard_lock_waits: u64,
-    /// Staged applies that entered while another staged apply was still
-    /// in flight — i.e. true memtable write concurrency.
-    pub applies_concurrent: u64,
     /// Scrub passes run by this instance (manual [`Engine::scrub`] calls
     /// plus the [`EngineConfig::scrub_every_flushes`] hook).
     pub scrub_runs: u64,
@@ -886,7 +669,7 @@ pub struct ScrubReport {
 
 /// The multi-segment log-structured index engine (see module docs).
 ///
-/// The read-relevant state (corpus, memtable shards, cold stack) sits
+/// The read-relevant state (corpus, memtable, cold stack) sits
 /// behind [`Arc`]s so [`Engine::snapshot`] can capture an immutable
 /// point-in-time view in O(layers): writers mutate through
 /// `Arc::make_mut`, which copies a structure only while a snapshot still
@@ -895,13 +678,9 @@ pub struct ScrubReport {
 /// [`PostingStore`]), so the copy is one table or one 4 KiB-entry chunk,
 /// not the lake.
 ///
-/// The memtable posting store is hash-partitioned by table id into
-/// [`EngineConfig::apply_shards`] shards, each behind its own latch:
-/// staged whole-table inserts (`Engine::stage_nosync`) to different
-/// shards fill concurrently, rendezvousing only for the WAL append and
-/// the snapshot publish. The global super-key store and the corpus spine
-/// stay under the engine's exclusive borrow (their per-table install is
-/// O(1) — hashing happens lock-free in `prepare_insert`).
+/// Every write happens under `&mut Engine`, so none of this state needs a
+/// lock: concurrency is [`EngineLake`]'s job (one write lock, lock-free
+/// snapshot readers).
 pub struct Engine {
     dir: PathBuf,
     config: EngineConfig,
@@ -914,14 +693,10 @@ pub struct Engine {
     hasher: Xash,
     hasher_name: String,
     corpus: Arc<Corpus>,
-    /// Hot layer: per-shard posting stores of memtable-owned tables
-    /// (table id → shard via `shard_of`).
-    shards: Arc<Vec<MemShard>>,
+    /// Hot layer: the posting store of every memtable-owned table.
+    mem: Arc<PostingStore>,
     /// The global super-key store (always materialized and current).
     superkeys: Arc<SuperKeyStore>,
-    /// Rendezvous for staged shard applies still in flight.
-    quiesce: Arc<Quiesce>,
-    shard_counters: Arc<ShardCounters>,
     /// Cold segment stack, oldest first.
     cold: Vec<Arc<ColdLayer>>,
     /// Posting entries still *owned* by each cold layer (parallel to
@@ -960,7 +735,8 @@ pub struct Engine {
     /// (recovery replays `cdelta-<gen>-1..=seq` after loading it).
     corpus_delta_seq: u64,
     /// Bumped whenever the cold stack or cold-table ownership changes
-    /// (flush, compaction, promotion, cold tombstone).
+    /// (flush, compaction, promotion, cold tombstone). Feeds only the
+    /// readers' snapshot lag ([`EngineSnapshot::source_epoch`]).
     source_epoch: u64,
     corpus_gen: u64,
     next_segment_id: u64,
@@ -1137,10 +913,8 @@ impl Engine {
             hasher_name: m.hasher_name.clone(),
             owners: vec![Owner::None; corpus.len()],
             corpus: Arc::new(corpus),
-            shards: new_shards(&config),
+            mem: Arc::new(PostingStore::new()),
             superkeys: Arc::new(superkeys),
-            quiesce: Arc::new(Quiesce::new()),
-            shard_counters: Arc::new(ShardCounters::new(&config.obs)),
             counters: Counters::new(&config.obs),
             source_cache: SourceCache::new(&config.obs),
             config,
@@ -1189,18 +963,14 @@ impl Engine {
     }
     // ----------------------------------------------------------- writing --
 
-    /// Applies one edit: WAL append (write-ahead rule) + in-memory apply,
-    /// then an fsync per the [`EngineConfig::group_commit`] window, then
-    /// flushes and compacts per the configured budgets. With the default
-    /// window of 1 the record is recoverable from the moment this
-    /// returns; with a wider window it is recoverable once its window
-    /// closes (the `group_commit`-th record, [`Engine::sync_wal`], or a
-    /// flush rotation).
+    /// Applies one edit durably: WAL append (write-ahead rule) + in-memory
+    /// apply, one fsync, then flushes and compacts per the configured
+    /// budgets. The record is recoverable from the moment this returns.
+    /// Callers that want one fsync to cover several records use
+    /// [`Engine::apply_nosync`] + [`Engine::sync_wal`] instead.
     pub fn apply(&mut self, record: WalRecord) -> Result<(), StorageError> {
         self.apply_nosync(record)?;
-        if self.config.group_commit <= 1 || self.wal_pending >= self.config.group_commit {
-            self.sync_wal()?;
-        }
+        self.sync_wal()?;
         self.maybe_flush()?;
         Ok(())
     }
@@ -1218,52 +988,6 @@ impl Engine {
     /// the WAL is poisoned and every subsequent append errors rather than
     /// acknowledge writes that recovery would silently drop.
     pub fn apply_nosync(&mut self, record: WalRecord) -> Result<WalTicket, StorageError> {
-        match record {
-            WalRecord::InsertTable { table } => {
-                let prep = prepare_insert(&table, &self.hasher);
-                let (ticket, task) = self.stage_nosync(table, prep)?;
-                task.run();
-                Ok(ticket)
-            }
-            record => {
-                let ticket = self.append_frame(&record)?;
-                // Non-insert records mutate existing tables, possibly ones
-                // whose staged insert is still filling its shard — wait
-                // for every in-flight staged apply first.
-                self.rendezvous();
-                self.apply_in_memory(record);
-                Ok(ticket)
-            }
-        }
-    }
-
-    /// Stages a whole-table insert: WAL frame append (phase B of the
-    /// staged protocol) plus corpus/super-key/ownership install, returning
-    /// the [`ShardTask`] that fills the memtable shard (phase C — run it
-    /// **without** the engine lock; see [`ShardTask`]). The caller must
-    /// have computed the [`InsertPrep`] (phase A) beforehand, ideally
-    /// outside every lock.
-    pub(crate) fn stage_nosync(
-        &mut self,
-        table: Table,
-        prep: InsertPrep,
-    ) -> Result<(WalTicket, ShardTask), StorageError> {
-        let record = WalRecord::InsertTable { table };
-        let ticket = self.append_frame(&record)?;
-        let WalRecord::InsertTable { table } = record else {
-            // panic-exempt: `record` is the InsertTable constructed two
-            // lines above; the destructure only exists to move `table` back
-            // out after the borrow for the WAL append.
-            unreachable!("constructed above")
-        };
-        let task = self.stage_insert(table, prep);
-        Ok((ticket, task))
-    }
-
-    /// Appends one record's WAL frame (no fsync, no in-memory apply).
-    /// Shared by the inline and staged apply paths; owns the rollback /
-    /// poisoning discipline documented on [`Engine::apply_nosync`].
-    fn append_frame(&mut self, record: &WalRecord) -> Result<WalTicket, StorageError> {
         if let Some(reason) = &self.degraded {
             return Err(StorageError::Degraded {
                 reason: reason.clone(),
@@ -1280,7 +1004,7 @@ impl Engine {
         // copy-on-write), but a reader-less engine mutates in place.
         self.invalidate_snapshot();
         let boundary = self.wal_len;
-        let frame = frame_record(record);
+        let frame = frame_record(&record);
         if let Err(e) = self.wal.write_all(&frame) {
             if self.wal.set_len(boundary).is_err() {
                 self.wal_poisoned = true;
@@ -1294,54 +1018,11 @@ impl Engine {
         self.wal_len = boundary + frame.len() as u64;
         self.wal_pending += 1;
         self.counters.wal_records += 1;
+        self.apply_in_memory(record);
         Ok(WalTicket {
             wal_seq: self.wal_seq,
             end: self.wal_len,
         })
-    }
-
-    /// Installs a staged table into the corpus spine, super-key store, and
-    /// ownership map (all O(1) per-table Arc installs), marks it dirty for
-    /// the next delta checkpoint, and enters the in-flight rendezvous.
-    /// The returned task fills the posting shard.
-    fn stage_insert(&mut self, table: Table, prep: InsertPrep) -> ShardTask {
-        let tid = TableId::from(self.corpus.len());
-        let nrows = table.num_rows();
-        Arc::make_mut(&mut self.corpus).add_table(table);
-        let sk = Arc::make_mut(&mut self.superkeys);
-        let pushed = sk.push_table(nrows);
-        debug_assert_eq!(pushed, tid);
-        sk.set_table_words(tid, prep.words);
-        self.owners.push(Owner::Mem);
-        debug_assert_eq!(self.owners.len(), self.corpus.len());
-        self.dirty_tables.insert(tid.0);
-        let mut n = self.quiesce.in_flight.lock();
-        if *n > 0 {
-            self.shard_counters.concurrent.inc();
-        }
-        *n += 1;
-        drop(n);
-        ShardTask {
-            shards: Arc::clone(&self.shards),
-            shard: shard_of(tid.0, self.shards.len()),
-            corpus: Arc::clone(&self.corpus),
-            tid,
-            quiesce: Arc::clone(&self.quiesce),
-            counters: Arc::clone(&self.shard_counters),
-        }
-    }
-
-    /// Blocks until no staged shard apply is in flight. Cross-shard
-    /// readers (flush, snapshot publish, inline non-insert records) call
-    /// this so they never observe a table whose corpus row exists but
-    /// whose postings are mid-fill. Staged tasks never need the engine
-    /// lock to finish, so waiting here while holding it cannot deadlock —
-    /// but a thread must run its own staged task before calling this.
-    pub(crate) fn rendezvous(&self) {
-        let mut n = self.quiesce.in_flight.lock();
-        while *n > 0 {
-            n = self.quiesce.cv.wait(n);
-        }
     }
 
     /// Closes the open group-commit window: one fsync makes every buffered
@@ -1388,7 +1069,7 @@ impl Engine {
     /// the stack stays bounded either way. Returns whether a flush
     /// happened.
     pub fn maybe_flush(&mut self) -> Result<bool, StorageError> {
-        if self.mem_flat_bytes() <= self.config.memtable_budget_bytes {
+        if self.mem.flat_bytes() <= self.config.memtable_budget_bytes {
             return Ok(false);
         }
         self.flush()?;
@@ -1444,20 +1125,15 @@ impl Engine {
 
     /// The deterministic in-memory transition (shared by live writes and
     /// WAL replay — determinism here is what makes kill-at-any-point
-    /// recovery bit-identical). Staged-insert callers must have quiesced
-    /// the shards before any non-insert record reaches this.
+    /// recovery bit-identical).
     fn apply_in_memory(&mut self, record: WalRecord) {
-        if let WalRecord::InsertTable { table } = record {
-            // Same transition as the staged path, run synchronously.
-            let prep = prepare_insert(&table, &self.hasher);
-            let task = self.stage_insert(table, prep);
-            task.run();
-            return;
-        }
         if self.record_changes_corpus(&record) {
-            if let Some(t) = record.target_table() {
-                self.dirty_tables.insert(t.0);
-            }
+            // An edit dirties its target; an insert, the id it is about to
+            // take.
+            let t = record
+                .target_table()
+                .unwrap_or(TableId::from(self.corpus.len()));
+            self.dirty_tables.insert(t.0);
         }
         match record {
             WalRecord::DeleteTable { table }
@@ -1484,32 +1160,18 @@ impl Engine {
                 if let Some(t) = record.target_table() {
                     self.promote(t);
                 }
-                self.with_updater(|updater| record.apply(updater));
+                record.apply(&mut IndexUpdater::from_parts(
+                    Arc::make_mut(&mut self.corpus),
+                    Arc::make_mut(&mut self.mem),
+                    Arc::make_mut(&mut self.superkeys),
+                    self.hasher,
+                ));
             }
         }
         // New tables enter owned by the memtable.
         while self.owners.len() < self.corpus.len() {
             self.owners.push(Owner::Mem);
         }
-    }
-
-    /// Runs `f` over an [`IndexUpdater`] targeting every memtable shard
-    /// (all shard latches held — inline records are rare relative to
-    /// staged inserts and may touch any table).
-    fn with_updater<R>(&mut self, f: impl FnOnce(&mut IndexUpdater<'_, Xash>) -> R) -> R {
-        let shards = Arc::clone(&self.shards);
-        // Ascending shard order == ascending shard-latch rank order.
-        let mut guards: Vec<RankedMutexGuard<'_, Arc<PostingStore>>> =
-            shards.iter().map(|s| s.store.lock()).collect();
-        let stores: Vec<&mut PostingStore> =
-            guards.iter_mut().map(|g| Arc::make_mut(&mut **g)).collect();
-        let mut updater = IndexUpdater::sharded(
-            Arc::make_mut(&mut self.corpus),
-            stores,
-            Arc::make_mut(&mut self.superkeys),
-            self.hasher,
-        );
-        f(&mut updater)
     }
 
     /// Moves ownership of `t` into the memtable, re-deriving its postings
@@ -1529,13 +1191,8 @@ impl Engine {
             Some(Owner::Mem) => return,
             None => return, // brand-new id; registered after the updater runs
         };
-        // Pin the corpus by reference (refcount bump) so the table can be
-        // read while the shard store is mutated through `make_mut`.
-        let corpus = Arc::clone(&self.corpus);
-        let table = corpus.table(t);
-        let shard = &self.shards[shard_of(t.0, self.shards.len())];
-        let mut guard = shard.store.lock();
-        let store = Arc::make_mut(&mut *guard);
+        let table = self.corpus.table(t);
+        let store = Arc::make_mut(&mut self.mem);
         for (ci, col) in table.columns().iter().enumerate() {
             for (ri, v) in col.values.iter().enumerate() {
                 if v.is_empty() {
@@ -1545,11 +1202,10 @@ impl Engine {
                 store.insert_sorted(vid, PostingEntry::new(t, ci as u32, ri as u32));
             }
         }
-        drop(guard);
         if let Some(li) = from_layer {
             self.cold_live[li as usize] -= self.cold[li as usize].claim_postings(t.0) as usize;
-            // Cold runs of this table just went dead: invalidate cached
-            // cold resolutions.
+            // Cold runs of this table just went dead: the ownership change
+            // moves the epoch that snapshot lag counts.
             self.source_epoch += 1;
         }
         self.owners[t.index()] = Owner::Mem;
@@ -1577,7 +1233,7 @@ impl Engine {
             "index.meta",
             persist::meta_block(self.hash_size(), &self.hasher_name, num_tables),
         );
-        persist::add_posting_blocks(&mut sw, values, self.config.block_len);
+        persist::add_posting_blocks(&mut sw, values, postings::DEFAULT_BLOCK_LEN);
         sw.add_block("index.superkeys2", superkeys_block);
         let mut cw = Writer::new();
         encode_claims(claims, &mut cw);
@@ -1612,7 +1268,7 @@ impl Engine {
     /// After the flip only an infallible in-memory switch remains: the
     /// stack, checkpoint, and segment-id counter move; a rotated WAL
     /// replaces the active one and, since the flush folded the memtable
-    /// into the new layer, the shards empty and their tables fall to the
+    /// into the new layer, the memtable empties and its tables fall to the
     /// new layer's claims; ownership is re-resolved. Then `retired` layers
     /// are doomed (their files go with the last snapshot serving them) and
     /// the superseded WAL and checkpoint files are deleted, best-effort.
@@ -1644,12 +1300,10 @@ impl Engine {
             self.wal_len = 0;
             self.wal_pending = 0;
             self.dirty_tables.clear();
-            // Fresh stores rather than `make_mut` + clear: if a snapshot
-            // still pins the old shard stores, `make_mut` would deep-copy
-            // them just to throw them away.
-            for shard in self.shards.iter() {
-                *shard.store.lock() = Arc::new(PostingStore::new());
-            }
+            // A fresh store rather than `make_mut` + clear: if a snapshot
+            // still pins the old store, `make_mut` would deep-copy it just
+            // to throw it away.
+            self.mem = Arc::new(PostingStore::new());
             for owner in &mut self.owners {
                 if *owner == Owner::Mem {
                     *owner = Owner::None;
@@ -1721,7 +1375,7 @@ impl Engine {
 
     // ----------------------------------------------------------- flushing --
 
-    /// Flushes the memtable shards into a new immutable cold segment,
+    /// Flushes the memtable into a new immutable cold segment,
     /// checkpoints the corpus **incrementally** — a `cdelta` record
     /// holding only the tables dirtied since the last checkpoint (skipped
     /// entirely when none changed, folded into a fresh full checkpoint
@@ -1731,10 +1385,9 @@ impl Engine {
     /// unchanged and still consistent with the on-disk manifest; partial
     /// files are garbage-collected at the next open.
     ///
-    /// The segment is built from the **canonical union** of the shard
-    /// stores (values sorted, per-value entries sorted), so its bytes are
-    /// independent of [`EngineConfig::apply_shards`] and of the order
-    /// concurrent staged inserts interned values.
+    /// The store's runs are already table-sorted per value; the segment
+    /// writer sorts the values, so segment bytes do not depend on the order
+    /// the memtable interned them.
     pub fn flush(&mut self) -> Result<bool, StorageError> {
         self.flush_inner(false)
     }
@@ -1761,30 +1414,17 @@ impl Engine {
             });
         }
         self.invalidate_snapshot();
-        self.rendezvous();
         if !self.owners.contains(&Owner::Mem) {
             return Ok(false);
         }
         let obs = Arc::clone(&self.config.obs);
         let _span = obs.span("flush");
-        // Canonical union of the shard stores (see method docs). Shards
-        // partition by table id, so per-value lists concatenate without
-        // duplicates.
-        let pinned: Vec<Arc<PostingStore>> = self.shards.iter().map(|s| s.pin()).collect();
-        let mut merged: BTreeMap<&str, Vec<PostingEntry>> = BTreeMap::new();
-        for store in &pinned {
-            for (value, pl) in store.iter() {
-                merged.entry(value).or_default().extend_from_slice(pl);
-            }
-        }
-        for pl in merged.values_mut() {
-            pl.sort_unstable();
-        }
+        let mut values: Vec<(&str, &[PostingEntry])> = self.mem.iter().collect();
         // The new layer claims every memtable-owned table with its live
         // posting count.
         let mut counts = vec![0u64; self.corpus.len()];
-        for pl in merged.values() {
-            for e in pl {
+        for (_, pl) in &values {
+            for e in *pl {
                 counts[e.table.index()] += 1;
             }
         }
@@ -1797,8 +1437,6 @@ impl Engine {
             .collect();
 
         // ---- every fallible step, before the manifest flip ----------------
-        let mut values: Vec<(&str, &[PostingEntry])> =
-            merged.iter().map(|(v, pl)| (*v, pl.as_slice())).collect();
         let layer = self.write_segment(
             &mut values,
             self.superkeys.num_tables(),
@@ -2368,17 +2006,15 @@ impl Engine {
     }
 
     /// The owner map in [`MergedSource`] layout: table id → layer index
-    /// (cold position, or `cold.len() + shard` for the memtable shards, or
+    /// (cold position, `cold.len()` for the memtable, or
     /// [`merged::NO_OWNER`]).
     fn owners_u32(&self) -> Vec<u32> {
         let num_cold = self.cold.len() as u32;
-        let nshards = self.shards.len();
         self.owners
             .iter()
-            .enumerate()
-            .map(|(t, o)| match o {
+            .map(|o| match o {
                 Owner::None => merged::NO_OWNER,
-                Owner::Mem => num_cold + shard_of(t as u32, nshards) as u32,
+                Owner::Mem => num_cold,
                 Owner::Cold(i) => *i,
             })
             .collect()
@@ -2400,12 +2036,7 @@ impl Engine {
 
     fn current_snapshot(&self) -> &Arc<EngineSnapshot> {
         self.snapshot_cache.get_or_init(|| {
-            self.rendezvous();
-            let mem: Vec<Arc<PostingStore>> = self.shards.iter().map(|s| s.pin()).collect();
-            let values_hint = mem
-                .iter()
-                .map(|s| PostingSource::num_values(s.as_ref()))
-                .sum::<usize>()
+            let values_hint = self.mem.num_values()
                 + self
                     .cold
                     .iter()
@@ -2413,7 +2044,7 @@ impl Engine {
                     .sum::<usize>();
             Arc::new(EngineSnapshot {
                 corpus: Arc::clone(&self.corpus),
-                mem,
+                mem: Arc::clone(&self.mem),
                 superkeys: Arc::clone(&self.superkeys),
                 cold: self.cold.clone(),
                 pager: Arc::clone(&self.pager),
@@ -2498,36 +2129,21 @@ impl Engine {
         self.cold.len()
     }
 
-    /// Serving layers (cold segments + the memtable shards).
+    /// Serving layers (cold segments + the memtable).
     pub fn num_layers(&self) -> usize {
-        self.cold.len() + self.shards.len()
-    }
-
-    /// Live posting entries in the memtable (all shards; brief per-shard
-    /// latch holds).
-    fn mem_postings(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| PostingSource::num_postings(&*s.pin()))
-            .sum()
-    }
-
-    /// Flattened byte size of the memtable posting stores (the flush
-    /// budget metric).
-    fn mem_flat_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.pin().flat_bytes()).sum()
+        self.cold.len() + 1
     }
 
     /// Exact live posting entries across all layers.
     pub fn live_postings(&self) -> usize {
-        self.mem_postings() + self.cold_live.iter().sum::<usize>()
+        self.mem.num_postings() + self.cold_live.iter().sum::<usize>()
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> EngineStats {
         EngineStats {
-            memtable_postings: self.mem_postings(),
-            memtable_bytes: self.mem_flat_bytes(),
+            memtable_postings: self.mem.num_postings(),
+            memtable_bytes: self.mem.flat_bytes(),
             cold_segments: self.cold.len(),
             cold_bytes: self.cold.iter().map(|l| l.bytes).sum(),
             cold_live_postings: self.cold_live.iter().sum(),
@@ -2543,8 +2159,6 @@ impl Engine {
             deltas_written: self.counters.deltas_written,
             checkpoint_delta_bytes: self.counters.checkpoint_delta_bytes,
             checkpoint_full_bytes: self.counters.checkpoint_full_bytes,
-            shard_lock_waits: self.shard_counters.lock_waits.get(),
-            applies_concurrent: self.shard_counters.concurrent.get(),
             scrub_runs: self.counters.scrub_runs.get(),
             scrub_corruptions_found: self.counters.scrub_corruptions_found.get(),
             segments_quarantined: self.counters.segments_quarantined.get(),
@@ -2578,7 +2192,7 @@ impl Engine {
 /// through the unified metric catalog (one registry pass sees engine
 /// counters, vfs fault counts, and these stat gauges side by side).
 pub fn export_engine_stats(obs: &Obs, stats: &EngineStats) {
-    let pairs: [(&str, u64); 24] = [
+    let pairs: [(&str, u64); 22] = [
         ("memtable_postings", stats.memtable_postings as u64),
         ("memtable_bytes", stats.memtable_bytes as u64),
         ("cold_segments", stats.cold_segments as u64),
@@ -2596,8 +2210,6 @@ pub fn export_engine_stats(obs: &Obs, stats: &EngineStats) {
         ("deltas_written", stats.deltas_written),
         ("checkpoint_delta_bytes", stats.checkpoint_delta_bytes),
         ("checkpoint_full_bytes", stats.checkpoint_full_bytes),
-        ("shard_lock_waits", stats.shard_lock_waits),
-        ("applies_concurrent", stats.applies_concurrent),
         ("scrub_runs", stats.scrub_runs),
         ("scrub_corruptions_found", stats.scrub_corruptions_found),
         ("segments_quarantined", stats.segments_quarantined),
@@ -2896,17 +2508,18 @@ mod tests {
     #[test]
     fn group_commit_amortizes_fsyncs_and_recovers() {
         let dir = tmpdir("group");
-        let cfg = EngineConfig {
-            group_commit: 4,
-            ..small_config(1 << 30)
-        };
+        let cfg = small_config(1 << 30);
         {
             let mut e = Engine::create(&dir, cfg.clone()).unwrap();
             for i in 0..10 {
-                e.apply(WalRecord::InsertTable {
+                e.apply_nosync(WalRecord::InsertTable {
                     table: people(2, &format!("g{i}")),
                 })
                 .unwrap();
+                // Close a window after every 4th record.
+                if i % 4 == 3 {
+                    e.sync_wal().unwrap();
+                }
             }
             assert_eq!(e.stats().wal_records, 10);
             assert_eq!(e.stats().wal_syncs, 2, "records 4 and 8 closed windows");
@@ -3126,76 +2739,23 @@ mod tests {
         std::fs::remove_dir_all(dir).ok();
     }
 
-    /// Deterministic (1-core-safe) concurrency-counter check: stage two
-    /// inserts to *different* shards before running either task. The
-    /// second stage observes the first still in flight, so
-    /// `applies_concurrent` must tick — no wall-clock racing required —
-    /// and disjoint shards mean zero latch contention.
+    /// One store interns a value once, whatever tables share it: a second
+    /// table repeating a 4 KiB cell grows the flush-budget metric by its
+    /// posting entries and bookkeeping, not by another copy of the text.
     #[test]
-    fn staged_inserts_to_disjoint_shards_overlap() {
-        let dir = tmpdir("staged-overlap");
-        let cfg = EngineConfig {
-            apply_shards: 2,
-            ..small_config(1 << 30)
-        };
-        let mut e = Engine::create(&dir, cfg).unwrap();
-        // Table ids 0 and 1 land on different shards of 2.
-        assert_ne!(shard_of(0, 2), shard_of(1, 2));
-
-        let prep_a = prepare_insert(&people(4, "a"), &e.hasher);
-        let prep_b = prepare_insert(&people(3, "b"), &e.hasher);
-        let (_ta, task_a) = e.stage_nosync(people(4, "a"), prep_a).unwrap();
-        let (_tb, task_b) = e.stage_nosync(people(3, "b"), prep_b).unwrap();
-        // Both staged, neither run: the rendezvous window is open.
-        task_b.run();
-        task_a.run();
-        e.sync_wal().unwrap();
-
-        let s = e.stats();
+    fn memtable_budget_counts_a_shared_value_once() {
+        let dir = tmpdir("shared-value");
+        let mut e = Engine::create(&dir, small_config(1 << 30)).unwrap();
+        let big = "v".repeat(4096);
+        let table = |name: &str| TableBuilder::new(name, ["c"]).row([big.as_str()]).build();
+        e.insert_table(table("t0")).unwrap();
+        let before = e.stats().memtable_bytes;
+        e.insert_table(table("t1")).unwrap();
+        let grown = e.stats().memtable_bytes - before;
         assert!(
-            s.applies_concurrent >= 1,
-            "second stage saw the first in flight"
+            grown < 4096,
+            "shared value counted again: grew {grown} bytes"
         );
-        assert_eq!(s.shard_lock_waits, 0, "disjoint shards never contend");
-        assert_eq!(s.tables, 2);
-        assert_matches_rebuild(&e);
-        assert!(e.flush().unwrap());
-        assert_matches_rebuild(&e);
-        std::fs::remove_dir_all(dir).ok();
-    }
-
-    /// Deterministic latch-contention check: hold a shard's latch while a
-    /// staged task targets it from another thread. The task must count a
-    /// `shard_lock_waits` tick, then block (not corrupt) until the latch
-    /// frees, and the final state must be exactly the rebuilt index.
-    #[test]
-    fn shard_latch_contention_is_counted_and_safe() {
-        let dir = tmpdir("latch-wait");
-        let cfg = EngineConfig {
-            apply_shards: 1,
-            ..small_config(1 << 30)
-        };
-        let mut e = Engine::create(&dir, cfg).unwrap();
-        let prep = prepare_insert(&people(5, "c"), &e.hasher);
-        let (_t, task) = e.stage_nosync(people(5, "c"), prep).unwrap();
-        let counters = Arc::clone(&e.shard_counters);
-        let shards = Arc::clone(&e.shards);
-
-        std::thread::scope(|scope| {
-            let guard = shards[0].store.lock();
-            let h = scope.spawn(move || task.run());
-            // Progress-guaranteed spin: the filler thread ticks the counter
-            // *before* blocking on the held latch.
-            while counters.lock_waits.get() == 0 {
-                std::thread::yield_now();
-            }
-            drop(guard);
-            h.join().unwrap();
-        });
-
-        e.sync_wal().unwrap();
-        assert!(e.stats().shard_lock_waits >= 1);
-        assert_eq!(e.stats().tables, 1);
         assert_matches_rebuild(&e);
         std::fs::remove_dir_all(dir).ok();
     }

@@ -5,8 +5,7 @@
 //!
 //! * the **corpus** (per-table `Arc` spine — verification re-reads cell
 //!   values from here),
-//! * the **memtable shard** posting stores and the global **super-key**
-//!   store,
+//! * the **memtable** posting store and the global **super-key** store,
 //! * the **cold segment stack** (each layer an `Arc`d zero-copy store),
 //! * the owner map, the **source epoch**, and an [`EngineStats`] counter
 //!   snapshot.
@@ -40,9 +39,9 @@ use std::sync::Arc;
 /// outlive the engine itself.
 pub struct EngineSnapshot {
     pub(super) corpus: Arc<Corpus>,
-    /// Memtable shard stores, pinned by refcount (shard order — layer
-    /// `cold.len() + i` in [`MergedSource`] layout).
-    pub(super) mem: Vec<Arc<PostingStore>>,
+    /// The memtable store, pinned by refcount (layer `cold.len()` in
+    /// [`MergedSource`] layout).
+    pub(super) mem: Arc<PostingStore>,
     pub(super) superkeys: Arc<SuperKeyStore>,
     pub(super) cold: Vec<Arc<ColdLayer>>,
     /// The engine's shared page cache (cold layers in `cold` read through
@@ -101,9 +100,9 @@ impl EngineSnapshot {
         self.cold.len()
     }
 
-    /// Serving layers (cold segments + the memtable shards).
+    /// Serving layers (cold segments + the memtable).
     pub fn num_layers(&self) -> usize {
-        self.cold.len() + self.mem.len()
+        self.cold.len() + 1
     }
 
     /// Exact live posting entries across all layers at snapshot time.
@@ -147,7 +146,7 @@ impl EngineSnapshot {
             .cold
             .iter()
             .map(|l| &l.store as &dyn PostingSource)
-            .chain(self.mem.iter().map(|s| s.as_ref() as &dyn PostingSource))
+            .chain(std::iter::once(self.mem.as_ref() as &dyn PostingSource))
             .collect();
         MergedSource::new(
             layers,

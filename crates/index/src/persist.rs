@@ -225,8 +225,8 @@ fn index_meta_block(index: &InvertedIndex) -> Bytes {
 /// `index.superkeys2` block: per row, the key's set-bit positions Rice-coded
 /// ([`mate_storage::bitset`]) — super keys are sparse (a handful of bits per
 /// cell, OR-ed per row), so this is the segment's biggest single win.
-/// `pub(crate)` because the engine's sharded flush assembles its segment
-/// blocks directly from the global super-key store.
+/// `pub(crate)` because the engine's flush assembles its segment blocks
+/// directly from the global super-key store.
 pub(crate) fn superkeys_block(superkeys: &SuperKeyStore) -> Bytes {
     let mut keys = Writer::new();
     let ntables = superkeys.num_tables();

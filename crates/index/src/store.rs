@@ -49,18 +49,6 @@ use std::sync::Arc;
 /// copies a bounded sliver, large enough that chunk bookkeeping is noise.
 pub(crate) const CHUNK_CAP: usize = 4096;
 
-/// Hash-partitions a table id over `n` memtable shards (Fibonacci hashing
-/// so consecutive table ids spread instead of clustering). All writers of
-/// the engine's sharded apply path must agree on this mapping.
-#[inline]
-pub(crate) fn shard_of(table: u32, n: usize) -> usize {
-    if n <= 1 {
-        0
-    } else {
-        (table.wrapping_mul(0x9E37_79B9) >> 16) as usize % n
-    }
-}
-
 /// One value's run inside [`PostingStore`]'s chunked entry storage.
 #[derive(Debug, Clone, Copy)]
 struct PlRange {

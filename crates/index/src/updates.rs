@@ -28,28 +28,19 @@
 
 use crate::index::InvertedIndex;
 use crate::posting::PostingEntry;
-use crate::store::{shard_of, PostingStore};
+use crate::store::PostingStore;
 use crate::superkeys::SuperKeyStore;
 use mate_hash::RowHasher;
 use mate_table::{ColId, Column, Corpus, RowId, Table, TableId};
 
-/// Where an updater writes postings: the single hot index, or the engine's
-/// hash-partitioned memtable shards (one [`PostingStore`] per shard, routed
-/// by table id via [`shard_of`]) plus the global super-key store.
-#[derive(Debug)]
-enum Target<'a> {
-    Single(&'a mut InvertedIndex),
-    Sharded {
-        stores: Vec<&'a mut PostingStore>,
-        superkeys: &'a mut SuperKeyStore,
-    },
-}
-
-/// Applies edits to a corpus and its index in lock-step.
+/// Applies edits to a corpus and its index in lock-step: one posting store
+/// and one super-key store (the halves of an [`InvertedIndex`], or the
+/// engine's memtable and global super keys).
 #[derive(Debug)]
 pub struct IndexUpdater<'a, H: RowHasher> {
     corpus: &'a mut Corpus,
-    target: Target<'a>,
+    store: &'a mut PostingStore,
+    superkeys: &'a mut SuperKeyStore,
     hasher: H,
 }
 
@@ -67,45 +58,23 @@ impl<'a, H: RowHasher> IndexUpdater<'a, H> {
             index.hasher_name(),
             "hasher kind does not match index"
         );
-        IndexUpdater {
-            corpus,
-            target: Target::Single(index),
-            hasher,
-        }
+        IndexUpdater::from_parts(corpus, &mut index.store, &mut index.superkeys, hasher)
     }
 
-    /// Creates an updater over the engine's sharded memtable: one exclusive
-    /// posting-store borrow per shard plus the global super-key store. The
-    /// engine validates hasher compatibility at open, so no check here.
-    pub(crate) fn sharded(
+    /// Creates an updater over a posting store and a super-key store held
+    /// apart (the engine's memtable). The engine validates hasher
+    /// compatibility at open, so no check here.
+    pub(crate) fn from_parts(
         corpus: &'a mut Corpus,
-        stores: Vec<&'a mut PostingStore>,
+        store: &'a mut PostingStore,
         superkeys: &'a mut SuperKeyStore,
         hasher: H,
     ) -> Self {
         IndexUpdater {
             corpus,
-            target: Target::Sharded { stores, superkeys },
+            store,
+            superkeys,
             hasher,
-        }
-    }
-
-    /// The posting store that owns `tid`'s entries.
-    fn store(&mut self, tid: TableId) -> &mut PostingStore {
-        match &mut self.target {
-            Target::Single(index) => &mut index.store,
-            Target::Sharded { stores, .. } => {
-                let n = stores.len();
-                stores[shard_of(tid.0, n)]
-            }
-        }
-    }
-
-    /// The super-key store (global in both targets).
-    fn superkeys(&mut self) -> &mut SuperKeyStore {
-        match &mut self.target {
-            Target::Single(index) => &mut index.superkeys,
-            Target::Sharded { superkeys, .. } => superkeys,
         }
     }
 
@@ -113,7 +82,7 @@ impl<'a, H: RowHasher> IndexUpdater<'a, H> {
     pub fn insert_table(&mut self, table: Table) -> TableId {
         let tid = self.corpus.add_table(table);
         let num_rows = self.corpus.table(tid).num_rows();
-        self.superkeys().push_table(num_rows);
+        self.superkeys.push_table(num_rows);
         for r in 0..num_rows {
             self.index_row(tid, RowId::from(r));
         }
@@ -123,7 +92,7 @@ impl<'a, H: RowHasher> IndexUpdater<'a, H> {
     /// Appends a row to an existing table and indexes it.
     pub fn insert_row(&mut self, tid: TableId, cells: &[&str]) -> RowId {
         self.corpus.table_mut(tid).push_row(cells);
-        let row = self.superkeys().push_row(tid);
+        let row = self.superkeys.push_row(tid);
         debug_assert_eq!(row.index(), self.corpus.table(tid).num_rows() - 1);
         self.index_row(tid, row);
         row
@@ -134,19 +103,15 @@ impl<'a, H: RowHasher> IndexUpdater<'a, H> {
     pub fn insert_column(&mut self, tid: TableId, column: Column) -> ColId {
         let col = ColId::from(self.corpus.table(tid).num_cols());
         self.corpus.table_mut(tid).push_column(column);
-        let num_rows = self.corpus.table(tid).num_rows();
-        for r in 0..num_rows {
-            let value = self.corpus.table(tid).cell(RowId::from(r), col).to_string();
+        let values = &self.corpus.table(tid).column(col).values;
+        for (r, value) in values.iter().enumerate() {
             if value.is_empty() {
                 continue;
             }
-            insert_posting(
-                self.store(tid),
-                &value,
-                PostingEntry::new(tid, col, RowId::from(r)),
-            );
-            let h = self.hasher.hash_value(&value);
-            self.superkeys().or_into(tid, RowId::from(r), h.words());
+            let row = RowId::from(r);
+            insert_posting(self.store, value, PostingEntry::new(tid, col, row));
+            let h = self.hasher.hash_value(value);
+            self.superkeys.or_into(tid, row, h.words());
         }
         col
     }
@@ -156,16 +121,16 @@ impl<'a, H: RowHasher> IndexUpdater<'a, H> {
     pub fn update_cell(&mut self, tid: TableId, row: RowId, col: ColId, raw: &str) {
         let old = self.corpus.table(tid).cell(row, col).to_string();
         self.corpus.table_mut(tid).set_cell(row, col, raw);
-        let new = self.corpus.table(tid).cell(row, col).to_string();
+        let new = self.corpus.table(tid).cell(row, col);
         if old == new {
             return;
         }
         let entry = PostingEntry::new(tid, col, row);
         if !old.is_empty() {
-            remove_posting(self.store(tid), &old, entry);
+            remove_posting(self.store, &old, entry);
         }
         if !new.is_empty() {
-            insert_posting(self.store(tid), &new, entry);
+            insert_posting(self.store, new, entry);
         }
         self.rehash_row(tid, row);
     }
@@ -173,40 +138,27 @@ impl<'a, H: RowHasher> IndexUpdater<'a, H> {
     /// Deletes a row (swap-remove). The last row of the table takes the
     /// deleted row's id; its postings are re-pointed accordingly.
     pub fn delete_row(&mut self, tid: TableId, row: RowId) {
-        let last = RowId::from(self.corpus.table(tid).num_rows() - 1);
+        let table = self.corpus.table(tid);
+        let last = RowId::from(table.num_rows() - 1);
         // 1. Remove postings of the victim row.
-        let victims: Vec<(usize, String)> = self
-            .corpus
-            .table(tid)
-            .row(row)
-            .into_iter()
-            .enumerate()
-            .filter(|(_, v)| !v.is_empty())
-            .map(|(c, v)| (c, v.to_string()))
-            .collect();
-        for (ci, v) in victims {
-            remove_posting(self.store(tid), &v, PostingEntry::new(tid, ci as u32, row));
+        for (ci, v) in table.row_iter(row).enumerate() {
+            if !v.is_empty() {
+                remove_posting(self.store, v, PostingEntry::new(tid, ci as u32, row));
+            }
         }
         // 2. Re-point postings of the last row to the victim's id.
         if last != row {
-            let movers: Vec<(usize, String)> = self
-                .corpus
-                .table(tid)
-                .row(last)
-                .into_iter()
-                .enumerate()
-                .filter(|(_, v)| !v.is_empty())
-                .map(|(c, v)| (c, v.to_string()))
-                .collect();
-            for (ci, v) in movers {
-                let old_e = PostingEntry::new(tid, ci as u32, last);
-                let new_e = PostingEntry::new(tid, ci as u32, row);
-                move_posting(self.store(tid), v, old_e, new_e);
+            for (ci, v) in table.row_iter(last).enumerate() {
+                if !v.is_empty() {
+                    let old_e = PostingEntry::new(tid, ci as u32, last);
+                    let new_e = PostingEntry::new(tid, ci as u32, row);
+                    move_posting(self.store, v, old_e, new_e);
+                }
             }
         }
         // 3. Mirror in corpus + super keys.
         self.corpus.table_mut(tid).swap_remove_row(row);
-        self.superkeys().swap_remove_row(tid, row);
+        self.superkeys.swap_remove_row(tid, row);
     }
 
     /// Deletes a whole table: removes its postings and tombstones its super
@@ -214,51 +166,36 @@ impl<'a, H: RowHasher> IndexUpdater<'a, H> {
     /// corpus keeps an empty table under that id.
     pub fn delete_table(&mut self, tid: TableId) {
         let table = self.corpus.table(tid);
-        let name = table.name.clone();
-        let mut entries: Vec<(String, PostingEntry)> = Vec::new();
         for (ci, col) in table.columns().iter().enumerate() {
             for (ri, v) in col.values.iter().enumerate() {
                 if !v.is_empty() {
-                    entries.push((v.clone(), PostingEntry::new(tid, ci as u32, ri as u32)));
+                    remove_posting(self.store, v, PostingEntry::new(tid, ci as u32, ri as u32));
                 }
             }
         }
-        for (v, e) in entries {
-            remove_posting(self.store(tid), &v, e);
-        }
+        let name = table.name.clone();
         *self.corpus.table_mut(tid) = Table::new(name, vec![]);
-        self.superkeys().clear_table(tid);
+        self.superkeys.clear_table(tid);
     }
 
     /// Deletes a column: removes its postings and re-hashes every row's super
     /// key (§5.4: "deleting a column ... triggering a rehashing of all rows").
     pub fn delete_column(&mut self, tid: TableId, col: ColId) {
         let table = self.corpus.table(tid);
-        let mut entries: Vec<(String, PostingEntry)> = Vec::new();
         for (ri, v) in table.column(col).values.iter().enumerate() {
             if !v.is_empty() {
-                entries.push((v.clone(), PostingEntry::new(tid, col, RowId::from(ri))));
+                remove_posting(self.store, v, PostingEntry::new(tid, col, RowId::from(ri)));
             }
         }
-        for (v, e) in entries {
-            remove_posting(self.store(tid), &v, e);
-        }
         // Columns right of `col` shift left by one: re-point their postings.
-        let ncols = self.corpus.table(tid).num_cols();
-        for ci in col.index() + 1..ncols {
-            let values: Vec<String> = self
-                .corpus
-                .table(tid)
-                .column(ColId::from(ci))
-                .values
-                .clone();
-            for (ri, v) in values.into_iter().enumerate() {
+        for ci in col.index() + 1..table.num_cols() {
+            for (ri, v) in table.column(ColId::from(ci)).values.iter().enumerate() {
                 if v.is_empty() {
                     continue;
                 }
                 let old_e = PostingEntry::new(tid, ci as u32, RowId::from(ri));
                 let new_e = PostingEntry::new(tid, (ci - 1) as u32, RowId::from(ri));
-                move_posting(self.store(tid), v, old_e, new_e);
+                move_posting(self.store, v, old_e, new_e);
             }
         }
         self.corpus.table_mut(tid).remove_column(col);
@@ -269,18 +206,13 @@ impl<'a, H: RowHasher> IndexUpdater<'a, H> {
 
     /// Adds postings + super key for one (already present) corpus row.
     fn index_row(&mut self, tid: TableId, row: RowId) {
-        let table = self.corpus.table(tid);
-        let values: Vec<(usize, String)> = table
-            .row(row)
-            .into_iter()
-            .enumerate()
-            .filter(|(_, v)| !v.is_empty())
-            .map(|(c, v)| (c, v.to_string()))
-            .collect();
-        for (ci, v) in &values {
-            insert_posting(self.store(tid), v, PostingEntry::new(tid, *ci as u32, row));
+        for (ci, v) in self.corpus.table(tid).row_iter(row).enumerate() {
+            if v.is_empty() {
+                continue;
+            }
+            insert_posting(self.store, v, PostingEntry::new(tid, ci as u32, row));
             let h = self.hasher.hash_value(v);
-            self.superkeys().or_into(tid, row, h.words());
+            self.superkeys.or_into(tid, row, h.words());
         }
     }
 
@@ -288,7 +220,7 @@ impl<'a, H: RowHasher> IndexUpdater<'a, H> {
     fn rehash_row(&mut self, tid: TableId, row: RowId) {
         let table = self.corpus.table(tid);
         let sk = self.hasher.superkey(table.row_iter(row));
-        self.superkeys().set(tid, row, sk.words());
+        self.superkeys.set(tid, row, sk.words());
     }
 }
 
@@ -311,9 +243,9 @@ fn remove_posting(store: &mut PostingStore, value: &str, entry: PostingEntry) {
     store.remove_sorted(vid, entry);
 }
 
-fn move_posting(store: &mut PostingStore, value: String, old: PostingEntry, new: PostingEntry) {
-    remove_posting(store, &value, old);
-    insert_posting(store, &value, new);
+fn move_posting(store: &mut PostingStore, value: &str, old: PostingEntry, new: PostingEntry) {
+    remove_posting(store, value, old);
+    insert_posting(store, value, new);
 }
 
 #[cfg(test)]

@@ -247,22 +247,24 @@ impl WalRecord {
         }
     }
 
-    /// Applies the record through an updater (replay path).
-    pub fn apply<H: RowHasher>(&self, updater: &mut IndexUpdater<'_, H>) {
+    /// Applies the record through an updater (live writes and replay).
+    /// Takes the record by value, so an inserted table or column moves into
+    /// the corpus instead of being copied.
+    pub fn apply<H: RowHasher>(self, updater: &mut IndexUpdater<'_, H>) {
         match self {
             WalRecord::InsertTable { table } => {
-                updater.insert_table(table.clone());
+                updater.insert_table(table);
             }
             WalRecord::InsertRow { table, cells } => {
                 let refs: Vec<&str> = cells.iter().map(String::as_str).collect();
-                updater.insert_row(*table, &refs);
+                updater.insert_row(table, &refs);
             }
             WalRecord::InsertColumn {
                 table,
                 name,
                 values,
             } => {
-                updater.insert_column(*table, Column::new(name.clone(), values.clone()));
+                updater.insert_column(table, Column::new(name, values));
             }
             WalRecord::UpdateCell {
                 table,
@@ -270,11 +272,11 @@ impl WalRecord {
                 col,
                 value,
             } => {
-                updater.update_cell(*table, *row, *col, value);
+                updater.update_cell(table, row, col, &value);
             }
-            WalRecord::DeleteRow { table, row } => updater.delete_row(*table, *row),
-            WalRecord::DeleteColumn { table, col } => updater.delete_column(*table, *col),
-            WalRecord::DeleteTable { table } => updater.delete_table(*table),
+            WalRecord::DeleteRow { table, row } => updater.delete_row(table, row),
+            WalRecord::DeleteColumn { table, col } => updater.delete_column(table, col),
+            WalRecord::DeleteTable { table } => updater.delete_table(table),
         }
     }
 }

@@ -2,8 +2,8 @@
 //! release builds.
 //!
 //! The engine's lock graph spans five domains (engine write lock, lake
-//! commit queue, memtable shard latches, cold-resolution caches, the
-//! published-snapshot slot). Deadlock freedom rests on one global rule:
+//! commit queue, snapshot memos, the published-snapshot slot, the page
+//! cache). Deadlock freedom rests on one global rule:
 //! **every thread acquires locks in strictly increasing rank order**. The
 //! rule is documented in `mate_index::engine` and statically gated by
 //! `mate-analyze` rule R4 (no raw `Mutex`/`RwLock` in `crates/index`);
@@ -24,13 +24,14 @@
 //!   primitive costs.
 //!
 //! Two ranks compare by `(major, minor)`. Locks of one domain that may be
-//! nested in a defined order (the per-shard memtable latches, acquired in
-//! ascending shard order) share a major rank and differ in `minor`.
+//! nested in a defined order (a snapshot's memo slot, rank 40.0
+//! `memo-slot`, read under which is its memo, 40.1 `source-memo`) share a
+//! major rank and differ in `minor`.
 //!
 //! Poisoning: all guards recover from a poisoned inner lock. Every
-//! current user (the engine memtable shards, the lake's queue/slot state,
-//! the merged-source memoization caches) either restores its invariants
-//! before any panic can unwind past a guard or re-validates what it reads,
+//! current user (the lake's queue/slot state, the merged-source memos)
+//! either restores its invariants before any panic can unwind past a
+//! guard or re-validates what it reads,
 //! so propagating the poison would only cascade one panicking thread into
 //! every other (see the poisoning notes in `mate_index::engine::lake`).
 //!
