@@ -1,12 +1,14 @@
 //! The MATE discovery engine — Algorithm 1 of the paper, sequential or
-//! multi-threaded, over either serving mode.
+//! multi-threaded, over any posting source.
 //!
-//! # Serving modes
+//! # Posting sources
 //!
 //! The engine reads posting lists through the [`PostingSource`] trait, so
-//! one implementation of Algorithm 1 serves both the hot arena-backed
-//! [`InvertedIndex`] and the cold, block-compressed [`ColdIndex`] — and is
-//! property-tested to return identical results on both.
+//! one implementation of Algorithm 1 serves the hot arena-backed
+//! [`InvertedIndex`], a paged cold segment
+//! ([`mate_index::ColdPostingStore`], through [`MateDiscovery::from_parts`])
+//! and the engine's merged layer stack — and is property-tested to return
+//! identical results on all of them.
 //!
 //! Probes are **positional**: the initialization phase groups candidates by
 //! table using only `table_runs` (cold mode decodes just the table-id
@@ -54,7 +56,7 @@ use crate::topk::TopK;
 use mate_hash::fx::{FxHashMap, FxHashSet};
 use mate_hash::{covers, RowHasher};
 use mate_index::{
-    ColdIndex, InvertedIndex, ListHandle, PostingEntry, PostingSource, ProbeScratch, SuperKeyStore,
+    InvertedIndex, ListHandle, PostingEntry, PostingSource, ProbeScratch, SuperKeyStore,
 };
 use mate_table::{ColId, Corpus, Table, TableId};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -96,9 +98,9 @@ struct Candidate<'r> {
 }
 
 /// The discovery engine. Borrows the corpus (for verification), a posting
-/// source plus super-key store (hot [`InvertedIndex`] or cold
-/// [`ColdIndex`]), and the hash function that built the index (for
-/// query-side super keys).
+/// source plus super-key store (a hot [`InvertedIndex`], or any
+/// [`PostingSource`] through [`MateDiscovery::from_parts`]), and the hash
+/// function that built the index (for query-side super keys).
 pub struct MateDiscovery<'a> {
     corpus: &'a Corpus,
     source: &'a dyn PostingSource,
@@ -120,30 +122,6 @@ impl<'a> MateDiscovery<'a> {
     pub fn with_config(
         corpus: &'a Corpus,
         index: &'a InvertedIndex,
-        hasher: &'a dyn RowHasher,
-        config: MateConfig,
-    ) -> Self {
-        assert_eq!(
-            hasher.name(),
-            index.hasher_name(),
-            "hasher kind does not match index"
-        );
-        Self::from_parts(corpus, index.store(), index.superkeys(), hasher, config)
-    }
-
-    /// Creates an engine over a cold (segment-serving) index with the
-    /// default configuration.
-    ///
-    /// # Panics
-    /// Panics if `hasher` does not match the index (size or kind).
-    pub fn cold(corpus: &'a Corpus, index: &'a ColdIndex, hasher: &'a dyn RowHasher) -> Self {
-        Self::cold_with_config(corpus, index, hasher, MateConfig::default())
-    }
-
-    /// Cold-mode engine with an explicit configuration.
-    pub fn cold_with_config(
-        corpus: &'a Corpus,
-        index: &'a ColdIndex,
         hasher: &'a dyn RowHasher,
         config: MateConfig,
     ) -> Self {

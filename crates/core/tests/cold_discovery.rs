@@ -1,12 +1,19 @@
-//! Property tests: cold-mode discovery (compressed segment serving) is
-//! bit-identical to the hot arena store on generated Zipf lakes.
+//! Property tests: cold-mode discovery (compressed segment files served
+//! through a page cache) is bit-identical to the hot arena store on
+//! generated Zipf lakes.
 
 use mate_core::{MateConfig, MateDiscovery};
-use mate_hash::{HashSize, Xash};
-use mate_index::{persist, ColdIndex, IndexBuilder, InvertedIndex};
+use mate_hash::{HashSize, RowHasher, Xash};
+use mate_index::{persist, ColdPostingStore, IndexBuilder, InvertedIndex};
 use mate_lake::{CorpusProfile, GeneratedQuery, LakeGenerator, LakeSpec, QuerySpec};
+use mate_obs::Obs;
+use mate_storage::pager::{PageCache, DEFAULT_PAGE_SIZE};
+use mate_storage::{SegmentReader, StdVfs};
 use mate_table::Corpus;
 use proptest::prelude::*;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Builds a Zipf lake with planted joins and planted false-positive tables.
 fn build_lake(seed: u64, rows: usize, key_size: usize) -> (Corpus, GeneratedQuery) {
@@ -31,9 +38,57 @@ fn build_lake(seed: u64, rows: usize, key_size: usize) -> (Corpus, GeneratedQuer
     (corpus, query)
 }
 
-/// Round-trips the hot index through a v2 segment into cold serving mode.
-fn freeze(index: &InvertedIndex) -> ColdIndex {
-    persist::cold_index_from_bytes(persist::index_to_bytes(index)).expect("v2 cold load")
+/// A saved index served the way the engine serves a cold segment: its
+/// posting streams paged from the file through a page cache, its super
+/// keys loaded from the same file. Removes the file on drop.
+struct Frozen {
+    store: ColdPostingStore,
+    saved: InvertedIndex,
+    path: PathBuf,
+}
+
+impl Frozen {
+    /// A discovery engine over the frozen segment.
+    fn discovery<'a>(
+        &'a self,
+        corpus: &'a Corpus,
+        hasher: &'a dyn RowHasher,
+        config: MateConfig,
+    ) -> MateDiscovery<'a> {
+        MateDiscovery::from_parts(corpus, &self.store, self.saved.superkeys(), hasher, config)
+    }
+}
+
+impl Drop for Frozen {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.path);
+    }
+}
+
+/// Saves the hot index as a segment file with `block_len`-entry posting
+/// blocks and opens it through the paged opener.
+fn freeze(index: &InvertedIndex, block_len: usize) -> Frozen {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let path = std::env::temp_dir().join(format!(
+        "mate-cold-discovery-{}-{}.seg",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    let bytes = persist::index_to_bytes_v3(index, block_len);
+    std::fs::write(&path, &bytes).expect("write segment");
+    let cache = Arc::new(PageCache::new(
+        Arc::new(StdVfs),
+        DEFAULT_PAGE_SIZE,
+        1 << 20,
+        &Arc::new(Obs::new()),
+    ));
+    cache.register_segment(0, &path);
+    let seg = SegmentReader::open(bytes.clone()).expect("segment");
+    Frozen {
+        store: persist::read_cold_store_paged(&seg, &cache, 0).expect("paged open"),
+        saved: persist::index_from_bytes(bytes).expect("hot load"),
+        path,
+    }
 }
 
 proptest! {
@@ -52,11 +107,12 @@ proptest! {
         let (corpus, query) = build_lake(seed, rows, key_size);
         let hasher = Xash::new(HashSize::B128);
         let index = IndexBuilder::new(hasher).build(&corpus);
-        let cold = freeze(&index);
+        let cold = freeze(&index, mate_storage::postings::DEFAULT_BLOCK_LEN);
 
         let hot = MateDiscovery::new(&corpus, &index, &hasher)
             .discover(&query.table, &query.key, k);
-        let coldr = MateDiscovery::cold(&corpus, &cold, &hasher)
+        let coldr = cold
+            .discovery(&corpus, &hasher, MateConfig::default())
             .discover(&query.table, &query.key, k);
 
         prop_assert_eq!(&hot.top_k, &coldr.top_k);
@@ -86,7 +142,7 @@ proptest! {
         let (corpus, query) = build_lake(seed, rows, 2);
         let hasher = Xash::new(HashSize::B128);
         let index = IndexBuilder::new(hasher).build(&corpus);
-        let cold = freeze(&index);
+        let cold = freeze(&index, mate_storage::postings::DEFAULT_BLOCK_LEN);
 
         for (threads, table_filtering) in [(1, false), (4, true), (4, false)] {
             let cfg = MateConfig {
@@ -96,7 +152,8 @@ proptest! {
             };
             let hot = MateDiscovery::with_config(&corpus, &index, &hasher, cfg.clone())
                 .discover(&query.table, &query.key, 5);
-            let coldr = MateDiscovery::cold_with_config(&corpus, &cold, &hasher, cfg)
+            let coldr = cold
+                .discovery(&corpus, &hasher, cfg)
                 .discover(&query.table, &query.key, 5);
             prop_assert_eq!(&hot.top_k, &coldr.top_k,
                 "threads={} filtering={}", threads, table_filtering);
@@ -120,10 +177,11 @@ fn cold_mode_skips_blocks_on_large_lakes() {
     let hasher = Xash::new(HashSize::B128);
     let index = IndexBuilder::new(hasher).build(&corpus);
     // Small blocks force multi-block lists even on a modest lake.
-    let cold =
-        persist::cold_index_from_bytes(persist::index_to_bytes_v3(&index, 16)).expect("cold load");
+    let cold = freeze(&index, 16);
     let hot = MateDiscovery::new(&corpus, &index, &hasher).discover(&query.table, &query.key, 3);
-    let coldr = MateDiscovery::cold(&corpus, &cold, &hasher).discover(&query.table, &query.key, 3);
+    let coldr = cold
+        .discovery(&corpus, &hasher, MateConfig::default())
+        .discover(&query.table, &query.key, 3);
     assert_eq!(hot.top_k, coldr.top_k);
     assert!(
         coldr.stats.blocks_decoded > 0,

@@ -1,19 +1,17 @@
-//! Cold serving mode: posting lookups straight out of segment bytes.
+//! Cold serving: posting lookups straight out of segment files.
 //!
 //! [`crate::persist::load_index`] materializes a full [`PostingStore`] —
 //! every list decoded, every value re-interned — before the first query can
-//! run. For a read-mostly replica that is wasted work and wasted RSS: the
+//! run. The engine's cold segments skip that work and that memory: the
 //! query phase of Algorithm 1 touches only the lists of the query's initial
 //! column, and (with the §6.2 pruning rules) decodes only a fraction of
 //! those.
 //!
 //! [`ColdPostingStore`] serves the `index.values2` / `index.postings3`
-//! payloads through a [`SegmentSource`] — either shared [`Bytes`] slices
-//! (zero-copy out of a loaded segment, the tooling/test path) or demand-
-//! paged extents of the segment *file* through a budgeted
-//! [`mate_storage::pager::PageCache`] (the engine's serving path, so
-//! resident memory no longer grows with the cold stack). Probes decode
-//! only the bytes they touch into small reusable scratch buffers:
+//! payloads as demand-paged extents of the segment *file* through a
+//! budgeted [`mate_storage::pager::PageCache`], so resident memory does not
+//! grow with the cold stack. Probes decode only the bytes they touch into
+//! small reusable scratch buffers:
 //!
 //! * `find_list` binary-searches the front-coded value dictionary through
 //!   its restart index, fetching one restart *group* (at most
@@ -25,27 +23,23 @@
 //!   counting everything else as skipped, and within a block only the
 //!   requested entries (random access into the bit-packed streams).
 //!
-//! Whole-stream reads — [`SegmentSource::to_bytes`], behind compaction
-//! inputs, [`ColdPostingStore::iter_decoded`] and [`ColdIndex::thaw`] —
-//! bypass the page cache with one extent `pread`: the cache's small pages
-//! are sized for probes, and a materialization served through them would
-//! cost thousands of fills and evict the query working set.
+//! Everything that reads a whole stream runs over one byte view of a
+//! segment's streams (`StreamView`): open-time validation, the hot load
+//! behind [`crate::persist::index_from_bytes`], and compaction inputs. A
+//! compaction reads its view with one extent `pread` per stream that
+//! bypasses the page cache: the cache's small pages are sized for probes,
+//! and a materialization served through them would cost thousands of fills
+//! and evict the query working set.
 //!
-//! The always-materialized state of a [`ColdIndex`] is the super-key store
-//! (raw `u64` words, needed for random access during row filtering) and the
-//! tiny restart/list directories — the probe "page table". Open-time
-//! validation still walks every directory and stream, so probe-time
-//! decoding stays infallible in both modes. [`ColdIndex::thaw`] upgrades to
-//! a hot [`InvertedIndex`] when mutation is needed.
+//! The always-resident state of a store is the tiny restart/list
+//! directories — the probe "page table". Open-time validation walks every
+//! directory and stream, so probe-time decoding is infallible.
 //!
 //! [`PostingStore`]: crate::store::PostingStore
 
-use crate::index::{IndexStats, InvertedIndex};
 use crate::posting::PostingEntry;
 use crate::source::{ListHandle, PostingSource, ProbeCounters, ProbeScratch};
-use crate::superkeys::SuperKeyStore;
 use bytes::Bytes;
-use mate_hash::HashSize;
 use mate_storage::pager::PageCache;
 use mate_storage::{postings, varint, StorageError};
 use std::sync::Arc;
@@ -159,100 +153,35 @@ impl ListDirectory {
     }
 }
 
-/// Where a cold payload stream's bytes physically live.
-///
-/// A [`ColdPostingStore`] addresses its value and list streams by offsets
-/// that open-time validation has fully checked; this enum resolves those
-/// offsets to bytes either from a resident buffer or by demand-paging the
-/// backing segment file through a shared, budgeted [`PageCache`].
-#[derive(Debug, Clone)]
-pub enum SegmentSource {
-    /// The whole stream is resident in memory (tooling, tests, `thaw()`).
-    Resident(Bytes),
-    /// The stream is an extent of an immutable segment file, read page-wise
-    /// through the engine's global cache.
-    Paged {
-        /// The shared page cache filling from the segment file.
-        cache: Arc<PageCache>,
-        /// Segment id the file was registered under.
-        segment: u64,
-        /// Byte offset of this stream within the segment file.
-        offset: u64,
-        /// Stream length in bytes.
-        len: usize,
-    },
+/// Decodes the next front-coded record of a value stream into `cur` — a
+/// restart record (full string) when `restart`, else a shared-prefix
+/// length plus suffix over the previous value — and advances `rest`.
+fn next_value(rest: &mut &[u8], cur: &mut Vec<u8>, restart: bool) -> Result<(), StorageError> {
+    let shared = if restart {
+        0
+    } else {
+        varint::read_u64(rest)? as usize
+    };
+    let len = varint::read_u64(rest)? as usize;
+    if shared > cur.len() || len > rest.len() {
+        return Err(StorageError::UnexpectedEof {
+            context: "cold value stream",
+        });
+    }
+    cur.truncate(shared);
+    cur.extend_from_slice(&rest[..len]);
+    *rest = &rest[len..];
+    Ok(())
 }
 
-impl SegmentSource {
-    /// Stream length in bytes.
-    pub fn len(&self) -> usize {
-        match self {
-            SegmentSource::Resident(b) => b.len(),
-            SegmentSource::Paged { len, .. } => *len,
-        }
-    }
-
-    /// Whether the stream is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Bytes resident right now (the paged variant holds none itself; its
-    /// pages are accounted to the shared cache).
-    fn resident_bytes(&self) -> usize {
-        match self {
-            SegmentSource::Resident(b) => b.len(),
-            SegmentSource::Paged { .. } => 0,
-        }
-    }
-
-    /// Infallible probe-path read: open-time validation guarantees the
-    /// range is well-formed, so the only failure left is I/O on a page
-    /// fill. One retry absorbs transient faults (the cache caches nothing
-    /// on a failed fill); a fill that fails twice is unrecoverable at
-    /// probe time and panics rather than serving wrong results.
-    fn read<'a>(&'a self, lo: usize, hi: usize, buf: &'a mut Vec<u8>) -> &'a [u8] {
-        match self {
-            SegmentSource::Resident(b) => &b[lo..hi],
-            SegmentSource::Paged {
-                cache,
-                segment,
-                offset,
-                ..
-            } => {
-                let start = *offset + lo as u64;
-                if cache.read_into(*segment, start, hi - lo, buf).is_err() {
-                    cache
-                        .read_into(*segment, start, hi - lo, buf)
-                        // panic-exempt: range validated at open; a doubly
-                        // failed page fill is unrecoverable probe-time I/O
-                        // (scrub/quarantine is the repair path).
-                        .expect("paged segment read failed after retry");
-                }
-                &buf[..]
-            }
-        }
-    }
-
-    /// Materializes the whole stream (tooling: `thaw`, compaction inputs).
-    /// A paged stream is read with one extent `pread` that bypasses the
-    /// page cache: no fills, no hits, no evictions of the query working set.
-    pub fn to_bytes(&self) -> Result<Bytes, StorageError> {
-        match self {
-            SegmentSource::Resident(b) => Ok(b.clone()),
-            SegmentSource::Paged {
-                cache,
-                segment,
-                offset,
-                len,
-            } => Ok(Bytes::from(cache.read_uncached(*segment, *offset, *len)?)),
-        }
-    }
-}
-
-/// Posting lists served directly from segment payloads.
-#[derive(Debug, Clone)]
-pub struct ColdPostingStore {
+/// One segment's posting streams as whole byte buffers: the front-coded
+/// value stream, its restart index, the list directory and the list
+/// payload. All four are zero-copy slices of one segment's [`Bytes`] (or,
+/// for a compaction input, the two streams of a validated segment file read
+/// whole). Open-time validation and every whole-stream decode run over
+/// this view; probes never do — they go through a [`ColdPostingStore`].
+#[derive(Debug)]
+pub(crate) struct StreamView {
     /// Distinct values (every one has a non-empty list).
     n: usize,
     /// Total posting entries across all lists.
@@ -260,20 +189,19 @@ pub struct ColdPostingStore {
     /// Front-coding restart interval.
     restart_interval: usize,
     /// Front-coded sorted value stream.
-    values: SegmentSource,
+    values: Bytes,
     /// Byte offset of each restart point within `values` (u32 LE array).
-    /// Always resident: this is the probe "page table".
     restarts: Bytes,
-    /// Where each list lives inside `lists`. Always resident, like
-    /// `restarts`.
+    /// Where each list lives inside `lists`.
     dir: ListDirectory,
     /// Concatenated block-compressed lists ([`mate_storage::postings`]).
-    lists: SegmentSource,
+    lists: Bytes,
 }
 
-impl ColdPostingStore {
-    /// Assembles a store from the parsed block parts, validating every
-    /// directory offset against its payload before anything is sliced.
+impl StreamView {
+    /// Assembles a view from the parsed block parts and validates it, so
+    /// that probes of a store built from it ([`StreamView::into_paged`])
+    /// and its whole-stream decode meet only well-formed bytes.
     pub(crate) fn new(
         n: usize,
         total_postings: usize,
@@ -283,118 +211,48 @@ impl ColdPostingStore {
         dir: ListDirectory,
         lists: Bytes,
     ) -> Result<Self, StorageError> {
-        if restart_interval == 0 {
+        let view = StreamView {
+            n,
+            total_postings,
+            restart_interval,
+            values,
+            restarts,
+            dir,
+            lists,
+        };
+        view.validate()?;
+        Ok(view)
+    }
+
+    /// Checks every directory offset against its payload, then walks the
+    /// value stream and every list header once — a crafted CRC-valid
+    /// segment with malformed varints, out-of-bounds front-coding lengths,
+    /// invalid UTF-8, unsorted values, or lying block widths fails *here*
+    /// with a structured error instead of panicking mid-probe. Payload
+    /// bit-streams are never decoded (widths and byte accounting are
+    /// checked instead), so this is O(values + list headers), not
+    /// O(postings).
+    fn validate(&self) -> Result<(), StorageError> {
+        if self.restart_interval == 0 {
             return Err(StorageError::InvalidLength {
                 context: "value restart interval",
                 value: 0,
             });
         }
-        let nrestarts = n.div_ceil(restart_interval);
-        if restarts.len() != nrestarts * 4 {
+        let nrestarts = self.n.div_ceil(self.restart_interval);
+        if self.restarts.len() != nrestarts * 4 {
             return Err(StorageError::InvalidLength {
                 context: "cold directory shape",
-                value: restarts.len() as u64,
+                value: self.restarts.len() as u64,
             });
         }
-        // Every directory offset must land inside its payload, monotonically:
-        // a corrupt directory fails here instead of panicking at probe time.
-        dir.validate(n, lists.len())?;
-        let mut prev = 0u32;
-        for i in 0..nrestarts {
-            let off = u32_at(&restarts, i);
-            if (i > 0 && off <= prev) || off as usize >= values.len().max(1) {
-                return Err(StorageError::InvalidLength {
-                    context: "cold restart offset",
-                    value: u64::from(off),
-                });
-            }
-            prev = off;
-        }
-        let store = ColdPostingStore {
-            n,
-            total_postings,
-            restart_interval,
-            values: SegmentSource::Resident(values),
-            restarts,
-            dir,
-            lists: SegmentSource::Resident(lists),
-        };
-        store.validate_streams()?;
-        Ok(store)
-    }
-
-    /// Rebinds the value and list streams of a *validated* resident store
-    /// to paged extents of the segment file (`values_off` / `lists_off`
-    /// are the streams' byte offsets within that file). The restart and
-    /// list directories are deep-copied: a `Bytes` slice would keep the
-    /// whole segment buffer alive, defeating the point of paging.
-    pub(crate) fn into_paged(
-        self,
-        cache: Arc<PageCache>,
-        segment: u64,
-        values_off: u64,
-        lists_off: u64,
-    ) -> ColdPostingStore {
-        let detach = |b: &Bytes| Bytes::from(b.to_vec());
-        let dir = ListDirectory {
-            lengths: detach(&self.dir.lengths),
-            anchors: detach(&self.dir.anchors),
-            interval: self.dir.interval,
-        };
-        ColdPostingStore {
-            n: self.n,
-            total_postings: self.total_postings,
-            restart_interval: self.restart_interval,
-            values: SegmentSource::Paged {
-                cache: Arc::clone(&cache),
-                segment,
-                offset: values_off,
-                len: self.values.len(),
-            },
-            restarts: detach(&self.restarts),
-            dir,
-            lists: SegmentSource::Paged {
-                cache,
-                segment,
-                offset: lists_off,
-                len: self.lists.len(),
-            },
-        }
-    }
-
-    /// A fully resident clone of this store (compaction inputs and
-    /// `thaw()` read whole streams; re-validation is skipped — the store
-    /// was validated when it was opened).
-    pub(crate) fn materialized(&self) -> Result<ColdPostingStore, StorageError> {
-        Ok(ColdPostingStore {
-            n: self.n,
-            total_postings: self.total_postings,
-            restart_interval: self.restart_interval,
-            values: SegmentSource::Resident(self.values.to_bytes()?),
-            restarts: self.restarts.clone(),
-            dir: self.dir.clone(),
-            lists: SegmentSource::Resident(self.lists.to_bytes()?),
-        })
-    }
-
-    /// Walks the value stream and every list header once, so that probe-time
-    /// decoding is infallible for any segment that passes `open` — a crafted
-    /// CRC-valid segment with malformed varints, out-of-bounds front-coding
-    /// lengths, invalid UTF-8, unsorted values, or lying block widths fails
-    /// *here* with a structured error instead of panicking mid-probe.
-    /// Payload bit-streams are never decoded (widths and byte accounting are
-    /// checked instead), so this is O(values + list headers), not O(postings).
-    fn validate_streams(&self) -> Result<(), StorageError> {
-        // Only resident stores are validated: `new` always constructs one,
-        // and `into_paged` rebinds a store that already passed this walk.
-        let SegmentSource::Resident(values) = &self.values else {
-            return Ok(());
-        };
+        self.dir.validate(self.n, self.lists.len())?;
         let mut cur: Vec<u8> = Vec::new();
         let mut prev: Vec<u8> = Vec::new();
-        let mut rest: &[u8] = values;
+        let mut rest: &[u8] = &self.values;
         for i in 0..self.n {
-            if i % self.restart_interval == 0 {
+            let restart = i % self.restart_interval == 0;
+            if restart {
                 // The restart index must point exactly at this record.
                 let at = (self.values.len() - rest.len()) as u32;
                 if u32_at(&self.restarts, i / self.restart_interval) != at {
@@ -403,27 +261,8 @@ impl ColdPostingStore {
                         value: u64::from(at),
                     });
                 }
-                let len = varint::read_u64(&mut rest)? as usize;
-                if len > rest.len() {
-                    return Err(StorageError::UnexpectedEof {
-                        context: "cold value stream",
-                    });
-                }
-                cur.clear();
-                cur.extend_from_slice(&rest[..len]);
-                rest = &rest[len..];
-            } else {
-                let shared = varint::read_u64(&mut rest)? as usize;
-                let suffix = varint::read_u64(&mut rest)? as usize;
-                if shared > cur.len() || suffix > rest.len() {
-                    return Err(StorageError::UnexpectedEof {
-                        context: "cold value stream",
-                    });
-                }
-                cur.truncate(shared);
-                cur.extend_from_slice(&rest[..suffix]);
-                rest = &rest[suffix..];
             }
+            next_value(&mut rest, &mut cur, restart)?;
             if std::str::from_utf8(&cur).is_err() {
                 return Err(StorageError::InvalidUtf8);
             }
@@ -445,12 +284,11 @@ impl ColdPostingStore {
             });
         }
 
-        let mut scratch = mate_storage::postings::ListScratch::new();
-        let mut ext: Vec<u8> = Vec::new();
+        let mut scratch = postings::ListScratch::new();
         let mut total = 0usize;
-        for i in 0..self.n as u32 {
-            total +=
-                mate_storage::postings::validate_list(self.list_bytes(i, &mut ext), &mut scratch)?;
+        for i in 0..self.n {
+            let (lo, hi) = self.dir.bounds(i);
+            total += postings::validate_list(&self.lists[lo..hi], &mut scratch)?;
         }
         if total != self.total_postings {
             return Err(StorageError::InvalidLength {
@@ -461,9 +299,164 @@ impl ColdPostingStore {
         Ok(())
     }
 
-    /// Raw bytes of the `i`-th list, staged through `ext` when paged.
+    /// Calls `f(value, list)` for every value in sorted order with its
+    /// fully decoded posting list — the load and compaction path, not the
+    /// probe path. Every step is checked: a compaction input re-read from
+    /// a file that changed since open returns an error, never a panic.
+    pub(crate) fn decode_each(
+        &self,
+        mut f: impl FnMut(&str, &[PostingEntry]),
+    ) -> Result<(), StorageError> {
+        let mut rest: &[u8] = &self.values;
+        let mut value: Vec<u8> = Vec::new();
+        let mut raw = Vec::new();
+        let mut list: Vec<PostingEntry> = Vec::new();
+        for i in 0..self.n {
+            next_value(&mut rest, &mut value, i % self.restart_interval == 0)?;
+            let (lo, hi) = self.dir.bounds(i);
+            let bytes = self.lists.get(lo..hi).ok_or(StorageError::UnexpectedEof {
+                context: "cold list payload",
+            })?;
+            raw.clear();
+            postings::decode_list(bytes, &mut raw)?;
+            list.clear();
+            list.extend(raw.iter().map(|&(t, c, r)| PostingEntry::new(t, c, r)));
+            let value = std::str::from_utf8(&value).map_err(|_| StorageError::InvalidUtf8)?;
+            f(value, &list);
+        }
+        Ok(())
+    }
+
+    /// The probe store over this (validated) view's segment: the value and
+    /// list streams become demand-paged extents of the segment file at
+    /// `values_off` / `lists_off`, read through `cache` (which knows the
+    /// file as `segment`). The restart and list directories are
+    /// deep-copied: a `Bytes` slice would keep the whole segment buffer
+    /// alive, defeating the point of paging.
+    pub(crate) fn into_paged(
+        self,
+        cache: Arc<PageCache>,
+        segment: u64,
+        values_off: u64,
+        lists_off: u64,
+    ) -> ColdPostingStore {
+        let detach = |b: &Bytes| Bytes::from(b.to_vec());
+        ColdPostingStore {
+            n: self.n,
+            total_postings: self.total_postings,
+            restart_interval: self.restart_interval,
+            values: SegmentSource {
+                cache: Arc::clone(&cache),
+                segment,
+                offset: values_off,
+                len: self.values.len(),
+            },
+            restarts: detach(&self.restarts),
+            dir: ListDirectory {
+                lengths: detach(&self.dir.lengths),
+                anchors: detach(&self.dir.anchors),
+                interval: self.dir.interval,
+            },
+            lists: SegmentSource {
+                cache,
+                segment,
+                offset: lists_off,
+                len: self.lists.len(),
+            },
+        }
+    }
+}
+
+/// A payload stream of a [`ColdPostingStore`]: an extent of an immutable
+/// segment file, read page-wise through the engine's shared, budgeted
+/// [`PageCache`]. Open-time validation has checked every offset a probe
+/// addresses within it.
+#[derive(Debug, Clone)]
+struct SegmentSource {
+    /// The shared page cache filling from the segment file.
+    cache: Arc<PageCache>,
+    /// Segment id the file was registered under.
+    segment: u64,
+    /// Byte offset of this stream within the segment file.
+    offset: u64,
+    /// Stream length in bytes.
+    len: usize,
+}
+
+impl SegmentSource {
+    /// Infallible probe-path read: open-time validation guarantees the
+    /// range is well-formed, so the only failure left is I/O on a page
+    /// fill. One retry absorbs transient faults (the cache caches nothing
+    /// on a failed fill); a fill that fails twice is unrecoverable at
+    /// probe time and panics rather than serving wrong results.
+    fn read<'a>(&self, lo: usize, hi: usize, buf: &'a mut Vec<u8>) -> &'a [u8] {
+        let start = self.offset + lo as u64;
+        if self
+            .cache
+            .read_into(self.segment, start, hi - lo, buf)
+            .is_err()
+        {
+            self.cache
+                .read_into(self.segment, start, hi - lo, buf)
+                // panic-exempt: range validated at open; a doubly failed
+                // page fill is unrecoverable probe-time I/O
+                // (scrub/quarantine is the repair path).
+                .expect("paged segment read failed after retry");
+        }
+        &buf[..]
+    }
+
+    /// The whole stream, read with one extent `pread` that bypasses the
+    /// page cache: no fills, no hits, no evictions of the query working
+    /// set.
+    fn read_all(&self) -> Result<Bytes, StorageError> {
+        Ok(Bytes::from(self.cache.read_uncached(
+            self.segment,
+            self.offset,
+            self.len,
+        )?))
+    }
+}
+
+/// Posting lists served from a segment file through the page cache.
+#[derive(Debug, Clone)]
+pub struct ColdPostingStore {
+    /// Distinct values (every one has a non-empty list).
+    n: usize,
+    /// Total posting entries across all lists.
+    total_postings: usize,
+    /// Front-coding restart interval.
+    restart_interval: usize,
+    /// Front-coded sorted value stream.
+    values: SegmentSource,
+    /// Byte offset of each restart point within `values` (u32 LE array).
+    /// Always resident: this is the probe "page table".
+    restarts: Bytes,
+    /// Where each list lives inside `lists`. Always resident, like
+    /// `restarts`.
+    dir: ListDirectory,
+    /// Concatenated block-compressed lists ([`mate_storage::postings`]).
+    lists: SegmentSource,
+}
+
+impl ColdPostingStore {
+    /// The store's streams read whole — one uncached `pread` each — under
+    /// its resident directories: the input a compaction decodes.
+    pub(crate) fn read_view(&self) -> Result<StreamView, StorageError> {
+        Ok(StreamView {
+            n: self.n,
+            total_postings: self.total_postings,
+            restart_interval: self.restart_interval,
+            values: self.values.read_all()?,
+            restarts: self.restarts.clone(),
+            dir: self.dir.clone(),
+            lists: self.lists.read_all()?,
+        })
+    }
+
+    /// Raw bytes of the `i`-th list, staged through `ext`.
     #[inline]
-    fn list_bytes<'a>(&'a self, i: u32, ext: &'a mut Vec<u8>) -> &'a [u8] {
+    fn list_bytes<'a>(&self, i: u32, ext: &'a mut Vec<u8>) -> &'a [u8] {
         let (lo, hi) = self.dir.bounds(i as usize);
         self.lists.read(lo, hi, ext)
     }
@@ -471,30 +464,29 @@ impl ColdPostingStore {
     /// Bytes of one restart *group*: the restart record plus the at most
     /// `restart_interval - 1` front-coded records that follow it, ending at
     /// the next restart (or the end of the value stream). One bounded
-    /// extent read per binary-search comparison in the paged mode.
-    fn restart_group<'a>(&'a self, restart: usize, ext: &'a mut Vec<u8>) -> &'a [u8] {
+    /// extent read per binary-search comparison.
+    fn restart_group<'a>(&self, restart: usize, ext: &'a mut Vec<u8>) -> &'a [u8] {
         let lo = u32_at(&self.restarts, restart) as usize;
         let hi = if restart + 1 < self.restarts.len() / 4 {
             u32_at(&self.restarts, restart + 1) as usize
         } else {
-            self.values.len()
+            self.values.len
         };
         self.values.read(lo, hi, ext)
     }
 
-    /// Decodes the full string opening a restart group, returning
-    /// `(value bytes, rest of the group)`.
-    fn restart_first(group: &[u8]) -> (&[u8], &[u8]) {
+    /// Decodes the full string opening a restart group.
+    fn restart_first(group: &[u8]) -> &[u8] {
         let mut at = group;
         // panic-exempt: restart offsets and their varints were decoded
         // once by the open-time validation walk.
         let len = varint::read_u64(&mut at).expect("validated at open") as usize;
-        (&at[..len], &at[len..])
+        &at[..len]
     }
 
     /// Finds the ordinal of `value` via restart binary search plus a bounded
     /// forward scan, reconstructing at most `restart_interval` values into
-    /// `buf`; `ext` stages one restart group at a time when paged.
+    /// `buf`; `ext` stages one restart group at a time.
     fn find_ordinal(&self, value: &str, ext: &mut Vec<u8>, buf: &mut Vec<u8>) -> Option<u32> {
         if self.n == 0 {
             return None;
@@ -505,111 +497,29 @@ impl ColdPostingStore {
         let (mut lo, mut hi) = (0usize, nrestarts);
         while hi - lo > 1 {
             let mid = lo + (hi - lo) / 2;
-            if Self::restart_first(self.restart_group(mid, ext)).0 <= target {
+            if Self::restart_first(self.restart_group(mid, ext)) <= target {
                 lo = mid;
             } else {
                 hi = mid;
             }
         }
-        let group_bytes = self.restart_group(lo, ext);
-        let (first, mut rest) = Self::restart_first(group_bytes);
-        if first > target {
-            return None; // smaller than the smallest value
-        }
-        if first == target {
-            return Some((lo * self.restart_interval) as u32);
-        }
-        buf.clear();
-        buf.extend_from_slice(first);
+        let mut rest = self.restart_group(lo, ext);
         let group = self
             .restart_interval
             .min(self.n - lo * self.restart_interval);
-        for i in 1..group {
-            // panic-exempt: prefix-compression varints were decoded once
-            // by the open-time validation walk.
-            let shared = varint::read_u64(&mut rest).expect("validated at open") as usize;
-            // panic-exempt: same open-time varint validation as above.
-            let suffix = varint::read_u64(&mut rest).expect("validated at open") as usize;
-            buf.truncate(shared);
-            buf.extend_from_slice(&rest[..suffix]);
-            rest = &rest[suffix..];
-            if buf.as_slice() == target {
-                return Some((lo * self.restart_interval + i) as u32);
-            }
-            if buf.as_slice() > target {
-                return None; // sorted: passed the insertion point
+        for i in 0..group {
+            // panic-exempt: every record of the value stream was decoded
+            // once by the open-time validation walk.
+            next_value(&mut rest, buf, i == 0).expect("validated at open");
+            match buf.as_slice().cmp(target) {
+                std::cmp::Ordering::Equal => return Some((lo * self.restart_interval + i) as u32),
+                // Sorted: passed the insertion point (or, for the first
+                // record, smaller than the smallest value).
+                std::cmp::Ordering::Greater => return None,
+                std::cmp::Ordering::Less => {}
             }
         }
         None
-    }
-
-    /// Iterates `(value, decoded posting list)` pairs in sorted-value order,
-    /// decoding everything — the migration/testing path, not the probe path.
-    /// A paged store materializes its value stream once up front.
-    pub fn iter_decoded(&self) -> impl Iterator<Item = (String, Vec<PostingEntry>)> + '_ {
-        let values = self
-            .values
-            .to_bytes()
-            // panic-exempt: tooling-path materialization of a store that
-            // was validated at open; a failed whole-stream read here has
-            // no recovery short of scrub/quarantine.
-            .expect("cold value stream read failed");
-        let mut pos = 0usize;
-        let mut buf: Vec<u8> = Vec::new();
-        let mut ext: Vec<u8> = Vec::new();
-        (0..self.n as u32).map(move |i| {
-            let mut rest = &values[pos..];
-            if (i as usize).is_multiple_of(self.restart_interval) {
-                // panic-exempt: open-time varint validation (see bounds).
-                let len = varint::read_u64(&mut rest).expect("validated at open") as usize;
-                buf.clear();
-                buf.extend_from_slice(&rest[..len]);
-                rest = &rest[len..];
-            } else {
-                // panic-exempt: open-time varint validation (see bounds).
-                let shared = varint::read_u64(&mut rest).expect("validated at open") as usize;
-                // panic-exempt: open-time varint validation (see bounds).
-                let suffix = varint::read_u64(&mut rest).expect("validated at open") as usize;
-                buf.truncate(shared);
-                buf.extend_from_slice(&rest[..suffix]);
-                rest = &rest[suffix..];
-            }
-            pos = values.len() - rest.len();
-            let mut raw = Vec::new();
-            let list_bytes = self.list_bytes(i, &mut ext);
-            // panic-exempt: every list decoded once by the open-time walk.
-            postings::decode_list(list_bytes, &mut raw).expect("validated at open");
-            let list = raw
-                .into_iter()
-                .map(|(t, c, r)| PostingEntry::new(t, c, r))
-                .collect();
-            (
-                // panic-exempt: values were UTF-8-checked at open.
-                String::from_utf8(buf.clone()).expect("validated at open"),
-                list,
-            )
-        })
-    }
-
-    /// Bytes of segment payload this store addresses — resident or paged
-    /// (the stable "cold stack size" statistic).
-    pub fn mapped_bytes(&self) -> usize {
-        self.values.len() + self.restarts.len() + self.dir.mapped_bytes() + self.lists.len()
-    }
-
-    /// Bytes this store itself keeps resident: the restart and list
-    /// directories always, plus the payload streams when not paged (a
-    /// paged store's pages are accounted to the shared cache instead).
-    pub fn resident_bytes(&self) -> usize {
-        self.values.resident_bytes()
-            + self.restarts.len()
-            + self.dir.mapped_bytes()
-            + self.lists.resident_bytes()
-    }
-
-    /// Whether the payload streams are served through a page cache.
-    pub fn is_paged(&self) -> bool {
-        matches!(self.values, SegmentSource::Paged { .. })
     }
 
     /// Bytes of the list-offset directory alone.
@@ -691,105 +601,12 @@ impl PostingSource for ColdPostingStore {
     }
 }
 
-/// A read-only index serving discovery from segment bytes: compressed
-/// posting lists stay encoded; only super keys are materialized.
-#[derive(Debug)]
-pub struct ColdIndex {
-    pub(crate) store: ColdPostingStore,
-    pub(crate) superkeys: SuperKeyStore,
-    pub(crate) hasher_name: String,
-}
-
-impl ColdIndex {
-    pub(crate) fn new(
-        store: ColdPostingStore,
-        superkeys: SuperKeyStore,
-        hasher_name: String,
-    ) -> Self {
-        ColdIndex {
-            store,
-            superkeys,
-            hasher_name,
-        }
-    }
-
-    /// The compressed posting store.
-    pub fn store(&self) -> &ColdPostingStore {
-        &self.store
-    }
-
-    /// Super key of `(table, row)`, same layout as the hot index.
-    #[inline]
-    pub fn superkey(&self, table: mate_table::TableId, row: mate_table::RowId) -> &[u64] {
-        self.superkeys.key(table, row)
-    }
-
-    /// The super-key store.
-    pub fn superkeys(&self) -> &SuperKeyStore {
-        &self.superkeys
-    }
-
-    /// Hash size of the super keys.
-    pub fn hash_size(&self) -> HashSize {
-        self.superkeys.hash_size()
-    }
-
-    /// Name of the hash function that produced the super keys.
-    pub fn hasher_name(&self) -> &str {
-        &self.hasher_name
-    }
-
-    /// Distinct indexed values.
-    pub fn num_values(&self) -> usize {
-        self.store.n
-    }
-
-    /// Total posting entries.
-    pub fn num_postings(&self) -> usize {
-        self.store.total_postings
-    }
-
-    /// Upgrades to a fully materialized [`InvertedIndex`] (for workloads
-    /// that need §5.4 incremental updates — the cold store is read-only).
-    pub fn thaw(&self) -> InvertedIndex {
-        let mut index = InvertedIndex::empty(self.hash_size(), self.hasher_name.clone());
-        for (value, list) in self.store.iter_decoded() {
-            let vid = index.store.intern(&value);
-            index.store.load_list(vid, &list);
-        }
-        index.superkeys = self.superkeys.clone();
-        index
-    }
-
-    /// Size/shape statistics. `on_disk_postings_bytes` is the mapped
-    /// segment payload; `heap_postings_bytes` is what this mode actually
-    /// holds on the heap beyond the shared segment buffer (nothing — the
-    /// directory slices are zero-copy views).
-    pub fn stats(&self) -> IndexStats {
-        let key_bytes = self.hash_size().bits() / 8;
-        IndexStats {
-            num_values: self.num_values(),
-            num_postings: self.num_postings(),
-            num_superkeys: self.superkeys.total_keys(),
-            posting_bytes: self.num_postings() * std::mem::size_of::<PostingEntry>(),
-            posting_store_bytes: 0,
-            posting_map_bytes: 0,
-            value_arena_bytes: 0,
-            on_disk_postings_bytes: self.store.mapped_bytes(),
-            heap_postings_bytes: 0,
-            superkey_bytes_per_row: self.superkeys.payload_bytes(),
-            superkey_bytes_per_cell: self.num_postings() * key_bytes,
-            hash_bits: self.hash_size().bits(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::IndexBuilder;
     use crate::persist;
-    use mate_hash::Xash;
+    use mate_hash::{HashSize, Xash};
     use mate_obs::Obs;
     use mate_storage::segment::SegmentReader;
     use mate_storage::vfs::FaultVfs;
@@ -813,8 +630,8 @@ mod tests {
         let path = dir.join("seg.bin");
         std::fs::write(&path, &data).unwrap();
 
-        let seg = SegmentReader::open(data).unwrap();
-        let resident = persist::read_cold_store(&seg).unwrap();
+        let seg = SegmentReader::open(data.clone()).unwrap();
+        let (parsed, values_in, _) = persist::read_stream_view(&seg).unwrap();
         let vfs = Arc::new(FaultVfs::new());
         let cache = Arc::new(PageCache::new(
             Arc::new(Arc::clone(&vfs)),
@@ -824,26 +641,42 @@ mod tests {
         ));
         cache.register_segment(3, &path);
         let paged = persist::read_cold_store_paged(&seg, &cache, 3).unwrap();
-        assert!(paged.is_paged());
 
         let before = cache.stats();
-        let copy = paged.materialized().unwrap();
+        let view = paged.read_view().unwrap();
         assert_eq!(cache.stats(), before, "no page hit, fill or eviction");
-        assert_eq!(
-            copy.values.to_bytes().unwrap(),
-            resident.values.to_bytes().unwrap()
-        );
-        assert_eq!(
-            copy.lists.to_bytes().unwrap(),
-            resident.lists.to_bytes().unwrap()
-        );
-        assert!(copy.iter_decoded().eq(resident.iter_decoded()));
+        assert_eq!(view.values, parsed.values);
+        assert_eq!(view.lists, parsed.lists);
+        let decoded = |v: &StreamView| {
+            let mut out = Vec::new();
+            v.decode_each(|value, list| out.push((value.to_string(), list.to_vec())))
+                .map(|()| out)
+        };
+        let all = decoded(&view).unwrap();
+        assert_eq!(all, decoded(&parsed).unwrap());
+        assert_eq!(all.len(), index.num_values());
+        for (value, list) in &all {
+            assert_eq!(index.posting_list(value), Some(list.as_slice()));
+        }
 
         vfs.fail_nth(1);
-        let e = paged.materialized().unwrap_err();
+        let e = paged.read_view().unwrap_err();
         assert!(matches!(e, StorageError::IoAt { .. }), "{e}");
         assert_eq!(vfs.injected(), 1);
         assert_eq!(cache.stats(), before);
+
+        // A file that changed after open (bit rot) makes the decode fail
+        // with a typed error; it never panics.
+        let at = (seg.block_offset("index.values2").unwrap() + values_in) as usize;
+        let mut rotten = data.to_vec();
+        rotten[at..at + 16].fill(0xFF);
+        std::fs::write(&path, &rotten).unwrap();
+        let e = paged
+            .read_view()
+            .unwrap()
+            .decode_each(|_, _| {})
+            .unwrap_err();
+        assert!(matches!(e, StorageError::VarintOverflow), "{e}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -781,10 +781,13 @@ impl Engine {
         Ok(engine)
     }
 
-    /// Recovers an engine from `dir`: manifest → cold segment stack (zero-
-    /// copy) + super keys from the newest segment + corpus checkpoint, then
-    /// WAL tail replay into a fresh memtable. Every acknowledged (fsynced)
-    /// mutation survives a kill at any point; a torn WAL tail is trimmed.
+    /// Recovers an engine from `dir`: manifest → cold segment stack
+    /// (paged) + super keys from the newest segment + corpus checkpoint,
+    /// then WAL tail replay into a fresh memtable. Every acknowledged
+    /// (fsynced) mutation survives a kill at any point; a torn WAL tail is
+    /// trimmed. A CRC-valid record that does not fit the corpus fails the
+    /// open with [`StorageError::InFileAt`] naming the WAL file and the
+    /// frame offset.
     pub fn open(dir: impl AsRef<Path>, config: EngineConfig) -> Result<Self, StorageError> {
         let dir = dir.as_ref().to_path_buf();
         let vfs = Arc::clone(&config.vfs);
@@ -814,7 +817,22 @@ impl Engine {
         let wal_path = engine.dir.join(wal_file(m.wal_seq));
         let log = vfs.read(&wal_path).io_ctx("reading WAL", &wal_path)?;
         let (records, valid_len) = wal::parse_log(&log);
+        let mut at = 0usize;
         for rec in records {
+            // A CRC-valid frame whose record does not fit the corpus was
+            // never written by this engine (appends check first): refuse
+            // the open rather than replay it into a panic.
+            if let Err(e) = rec.check(&engine.corpus) {
+                return Err(StorageError::InFileAt {
+                    path: wal_path,
+                    offset: at as u64,
+                    source: Box::new(e),
+                });
+            }
+            // `parse_log` consumed this frame whole, length header first.
+            at += 8 + log
+                .get(at..at + 4)
+                .map_or(0, |h| u32::from_le_bytes([h[0], h[1], h[2], h[3]]) as usize);
             engine.apply_in_memory(rec);
             engine.counters.replayed_records += 1;
         }
@@ -982,6 +1000,9 @@ impl Engine {
     /// window via [`Engine::sync_wal`], [`EngineLake`] runs a cross-writer
     /// group-commit protocol over the ticket.
     ///
+    /// A record that does not fit the corpus ([`WalRecord::check`]) is
+    /// refused before its frame is written.
+    ///
     /// A failed append is rolled back to the previous record boundary so a
     /// torn frame can never sit *in front of* later acknowledged records
     /// (replay stops at the first bad frame); if even the rollback fails,
@@ -999,6 +1020,10 @@ impl Engine {
                     .to_string(),
             });
         }
+        // A record that does not fit the corpus would panic in
+        // `apply_in_memory` after its frame reached the log, and again on
+        // every replay: reject it before anything is written.
+        record.check(&self.corpus)?;
         // Drop the engine's own reference to the cached snapshot *before*
         // mutating: outstanding readers keep theirs (and force the
         // copy-on-write), but a reader-less engine mutates in place.
@@ -1574,24 +1599,28 @@ impl Engine {
         let mut merged: BTreeMap<String, Vec<PostingEntry>> = BTreeMap::new();
         let mut counts = vec![0u64; self.corpus.len()];
         for &li in picks {
-            let layer = &self.cold[li];
-            // Materialize one input at a time (fallible paged reads become
-            // typed errors here, not probe panics); the resident copy is
-            // dropped before the next input loads, so compaction's peak
-            // resident overhead is one segment, not the whole pick set.
-            let resident = layer.store.materialized()?;
-            for (value, list) in resident.iter_decoded() {
-                let kept: Vec<PostingEntry> = list
-                    .into_iter()
-                    .filter(|e| self.owners.get(e.table.index()) == Some(&Owner::Cold(li as u32)))
-                    .collect();
-                if !kept.is_empty() {
-                    for e in &kept {
-                        counts[e.table.index()] += 1;
+            // Read one input at a time (fallible whole-stream reads and
+            // decodes become typed errors here, not probe panics); its
+            // streams are dropped before the next input loads, so
+            // compaction's peak resident overhead is one segment, not the
+            // whole pick set.
+            let owner = Some(&Owner::Cold(li as u32));
+            self.cold[li]
+                .store
+                .read_view()?
+                .decode_each(|value, list| {
+                    let kept: Vec<PostingEntry> = list
+                        .iter()
+                        .copied()
+                        .filter(|e| self.owners.get(e.table.index()) == owner)
+                        .collect();
+                    if !kept.is_empty() {
+                        for e in &kept {
+                            counts[e.table.index()] += 1;
+                        }
+                        merged.entry(value.to_string()).or_default().extend(kept);
                     }
-                    merged.entry(value).or_default().extend(kept);
-                }
-            }
+                })?;
         }
         for pl in merged.values_mut() {
             pl.sort_unstable();

@@ -131,7 +131,6 @@ impl InvertedIndex {
             posting_store_bytes: self.store.flat_bytes(),
             posting_map_bytes: self.store.per_value_layout_bytes(),
             value_arena_bytes: self.store.arena_bytes(),
-            on_disk_postings_bytes: 0,
             heap_postings_bytes: self.store.flat_bytes(),
             superkey_bytes_per_row: self.superkeys.payload_bytes(),
             superkey_bytes_per_cell: postings * key_bytes,
@@ -160,12 +159,8 @@ pub struct IndexStats {
     pub posting_map_bytes: usize,
     /// Bytes of distinct value text in the string arena.
     pub value_arena_bytes: usize,
-    /// Bytes of encoded posting payload served from segment `Bytes`
-    /// (cold serving mode; 0 for a hot index, whose postings live decoded
-    /// on the heap).
-    pub on_disk_postings_bytes: usize,
     /// Bytes of decoded posting state resident on the heap (the flattened
-    /// store for a hot index; 0 in cold mode, where lists stay encoded).
+    /// store).
     pub heap_postings_bytes: usize,
     /// Super-key bytes in the per-row layout (what this index stores).
     pub superkey_bytes_per_row: usize,
@@ -180,7 +175,7 @@ pub struct IndexStats {
 /// the `index_stats.` prefix, so the pull-only struct joins the unified
 /// metric catalog (same convention as `export_engine_stats`).
 pub fn export_index_stats(obs: &mate_obs::Obs, stats: &IndexStats) {
-    let pairs: [(&str, usize); 12] = [
+    let pairs: [(&str, usize); 11] = [
         ("num_values", stats.num_values),
         ("num_postings", stats.num_postings),
         ("num_superkeys", stats.num_superkeys),
@@ -188,7 +183,6 @@ pub fn export_index_stats(obs: &mate_obs::Obs, stats: &IndexStats) {
         ("posting_store_bytes", stats.posting_store_bytes),
         ("posting_map_bytes", stats.posting_map_bytes),
         ("value_arena_bytes", stats.value_arena_bytes),
-        ("on_disk_postings_bytes", stats.on_disk_postings_bytes),
         ("heap_postings_bytes", stats.heap_postings_bytes),
         ("superkey_bytes_per_row", stats.superkey_bytes_per_row),
         ("superkey_bytes_per_cell", stats.superkey_bytes_per_cell),

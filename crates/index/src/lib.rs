@@ -12,7 +12,8 @@
 //!   arena + one contiguous entry buffer with per-value ranges) — the
 //!   **hot** serving mode.
 //! * [`cold`] — the **cold** serving mode: block-compressed posting lists
-//!   probed directly out of loaded segment bytes, nothing re-materialized.
+//!   probed through a page cache directly out of segment files, nothing
+//!   re-materialized.
 //! * [`source`] — the [`PostingSource`] probe trait unifying both modes for
 //!   the discovery engine.
 //! * [`superkeys`] — the per-row super-key store (the paper's space-efficient
@@ -46,7 +47,7 @@ pub mod updates;
 pub mod wal;
 
 pub use builder::IndexBuilder;
-pub use cold::{ColdIndex, ColdPostingStore, ListDirectory};
+pub use cold::{ColdPostingStore, ListDirectory};
 pub use engine::{
     export_engine_stats, Engine, EngineConfig, EngineError, EngineLake, EngineSnapshot,
     EngineStats, LakeReader, MergedSource, ScrubReport, SourceCache, WalTicket,

@@ -15,14 +15,16 @@
 //! * `index.superkeys2` — per row, the super key's set bits Rice-coded as a
 //!   sparse bitmap ([`mate_storage::bitset`]).
 //!
-//! The value and posting directories are what make the cold serving mode
-//! possible: [`crate::cold::ColdPostingStore`] keeps these payloads as
-//! zero-copy `Bytes` and random-accesses them without decoding. A segment
+//! The value and posting directories are what make cold serving possible:
+//! [`read_cold_store_paged`] validates these payloads once and serves them
+//! as a [`ColdPostingStore`] that pages them from the segment file and
+//! random-accesses them without decoding; [`index_from_bytes`] decodes the
+//! same validated byte view whole into the hot form. A segment
 //! of an older encoding lacks `index.postings3` and is rejected with
 //! [`StorageError::MissingBlock`]; a version-1 container is rejected with
 //! [`StorageError::UnsupportedVersion`].
 
-use crate::cold::{ColdIndex, ColdPostingStore, ListDirectory};
+use crate::cold::{ColdPostingStore, ListDirectory, StreamView};
 use crate::index::InvertedIndex;
 use crate::posting::PostingEntry;
 use crate::superkeys::SuperKeyStore;
@@ -426,35 +428,29 @@ pub(crate) fn read_superkeys(
     Ok(())
 }
 
-/// Parses the value/posting blocks into a [`ColdPostingStore`],
-/// validating the directories (zero-copy: the returned store shares the
-/// segment's `Bytes`).
-pub(crate) fn read_cold_store(seg: &SegmentReader) -> Result<ColdPostingStore, StorageError> {
-    read_cold_store_parts(seg).map(|(store, _, _)| store)
-}
-
-/// [`read_cold_store`] plus the paged rebind: the fully validated resident
-/// store is rebound so its value and list streams are served as extents of
-/// the segment file through `cache` (registered there as `segment_id`).
-/// All validation already ran against the resident bytes, so paged probes
-/// inherit the same infallibility.
-pub(crate) fn read_cold_store_paged(
+/// Opens the value/posting blocks of `seg` for serving: validates them as
+/// one byte view of the segment's streams, then rebinds the value and list
+/// streams as demand-paged extents of the segment file, read through
+/// `cache` (which must know the file as `segment_id`). Probes of the
+/// returned store meet only bytes the validation walk accepted.
+pub fn read_cold_store_paged(
     seg: &SegmentReader,
     cache: &Arc<PageCache>,
     segment_id: u64,
 ) -> Result<ColdPostingStore, StorageError> {
-    let (store, values_in, lists_in) = read_cold_store_parts(seg)?;
+    let (view, values_in, lists_in) = read_stream_view(seg)?;
     let values_off = seg.block_offset("index.values2")? + values_in;
     let lists_off = seg.block_offset("index.postings3")? + lists_in;
-    Ok(store.into_paged(Arc::clone(cache), segment_id, values_off, lists_off))
+    Ok(view.into_paged(Arc::clone(cache), segment_id, values_off, lists_off))
 }
 
-/// Core cold-store parse; also returns the byte offsets of the value
+/// Parses and validates the value/posting blocks of `seg` into a
+/// zero-copy [`StreamView`]; also returns the byte offsets of the value
 /// stream within `index.values2` and of the list payload within
 /// `index.postings3`, so a paged caller can resolve them to file extents.
-fn read_cold_store_parts(
+pub(crate) fn read_stream_view(
     seg: &SegmentReader,
-) -> Result<(ColdPostingStore, u64, u64), StorageError> {
+) -> Result<(StreamView, u64, u64), StorageError> {
     // The posting block first: a segment of an older encoding lacks it and
     // is reported as missing `index.postings3`.
     let pblock = seg.block("index.postings3")?;
@@ -538,7 +534,7 @@ fn read_cold_store_parts(
         interval,
     };
     let lists_in_block = (pblock_len - lists.len()) as u64;
-    let store = ColdPostingStore::new(
+    let view = StreamView::new(
         n,
         total_postings,
         restart_interval,
@@ -547,32 +543,21 @@ fn read_cold_store_parts(
         dir,
         lists,
     )?;
-    Ok((store, values_in_block, lists_in_block))
+    Ok((view, values_in_block, lists_in_block))
 }
 
 /// Deserializes an index from segment bytes into the hot in-memory form,
-/// decoding every list (use [`cold_index_from_bytes`] to skip that).
+/// decoding every list.
 pub fn index_from_bytes(data: Bytes) -> Result<InvertedIndex, StorageError> {
     let seg = SegmentReader::open(data)?;
     let (size, hasher_name) = read_meta(&seg)?;
     let mut index = InvertedIndex::empty(size, hasher_name);
-    for (value, pl) in read_cold_store(&seg)?.iter_decoded() {
-        let vid = index.store.intern(&value);
-        index.store.load_list(vid, &pl);
-    }
+    read_stream_view(&seg)?.0.decode_each(|value, pl| {
+        let vid = index.store.intern(value);
+        index.store.load_list(vid, pl);
+    })?;
     read_superkeys(&seg, size, &mut index.superkeys)?;
     Ok(index)
-}
-
-/// Opens a segment in cold serving mode: posting lists stay compressed
-/// and are decoded per probe; only super keys are materialized.
-pub fn cold_index_from_bytes(data: Bytes) -> Result<ColdIndex, StorageError> {
-    let seg = SegmentReader::open(data)?;
-    let (size, hasher_name) = read_meta(&seg)?;
-    let store = read_cold_store(&seg)?;
-    let mut superkeys = SuperKeyStore::new(size);
-    read_superkeys(&seg, size, &mut superkeys)?;
-    Ok(ColdIndex::new(store, superkeys, hasher_name))
 }
 
 /// Writes an index to a segment file (atomically, like [`save_corpus`]).
@@ -588,21 +573,35 @@ pub fn load_index(path: impl AsRef<Path>) -> Result<InvertedIndex, StorageError>
     ))
 }
 
-/// Loads an index segment in cold serving mode (see
-/// [`cold_index_from_bytes`]).
-pub fn load_index_cold(path: impl AsRef<Path>) -> Result<ColdIndex, StorageError> {
-    let path = path.as_ref();
-    cold_index_from_bytes(Bytes::from(
-        StdVfs.read(path).io_ctx("reading index segment", path)?,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::IndexBuilder;
     use mate_hash::{HashSize, Xash};
     use mate_table::{RowId, TableBuilder};
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// Runs `f` on `data` opened through the paged opener, as the engine
+    /// serves a segment: written to a temp file registered with a fresh
+    /// page cache, which outlives `f`.
+    fn with_paged<R>(
+        data: Bytes,
+        f: impl FnOnce(Result<ColdPostingStore, StorageError>) -> R,
+    ) -> R {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let path = std::env::temp_dir().join(format!(
+            "mate-persist-paged-{}-{}.seg",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::write(&path, &data).unwrap();
+        let obs = Arc::new(mate_obs::Obs::new());
+        let cache = Arc::new(PageCache::new(Arc::new(StdVfs), 4096, 1 << 20, &obs));
+        cache.register_segment(0, &path);
+        let r = f(SegmentReader::open(data).and_then(|seg| read_cold_store_paged(&seg, &cache, 0)));
+        let _ = std::fs::remove_file(&path);
+        r
+    }
 
     fn corpus() -> Corpus {
         let mut c = Corpus::new();
@@ -730,7 +729,10 @@ mod tests {
         v.put_varint(1); // stream length 1
         v.put_u8(0x05); // claims a 5-byte string in a 1-byte stream
         v.put_u32_le(0); // restart offset
-        assert!(cold_index_from_bytes(make_seg(v.finish().to_vec(), postings_for(1))).is_err());
+        assert!(with_paged(
+            make_seg(v.finish().to_vec(), postings_for(1)),
+            |s| s.is_err()
+        ));
         // (b) non-UTF-8 value bytes.
         let mut v = Writer::new();
         v.put_varint(1);
@@ -739,7 +741,10 @@ mod tests {
         v.put_u8(2); // 2-byte string...
         v.put_raw(&[0xFF, 0xFE]); // ...that is not UTF-8
         v.put_u32_le(0);
-        assert!(cold_index_from_bytes(make_seg(v.finish().to_vec(), postings_for(1))).is_err());
+        assert!(with_paged(
+            make_seg(v.finish().to_vec(), postings_for(1)),
+            |s| s.is_err()
+        ));
         // (c) values out of sorted order (breaks the binary search contract).
         let mut v = Writer::new();
         v.put_varint(2);
@@ -753,7 +758,10 @@ mod tests {
         v.put_raw(&stream);
         v.put_u32_le(0);
         v.put_u32_le(second);
-        assert!(cold_index_from_bytes(make_seg(v.finish().to_vec(), postings_for(2))).is_err());
+        assert!(with_paged(
+            make_seg(v.finish().to_vec(), postings_for(2)),
+            |s| s.is_err()
+        ));
         // And the hot loader rejects the same bytes rather than panicking.
         let mut v = Writer::new();
         v.put_varint(1);
@@ -793,7 +801,7 @@ mod tests {
         let load_errors = |seg: Bytes| {
             [
                 index_from_bytes(seg.clone()).err(),
-                cold_index_from_bytes(seg).err(),
+                with_paged(seg, Result::err),
             ]
         };
         let mut v1_postings = Writer::new();
@@ -835,9 +843,8 @@ mod tests {
     fn v3_directory_is_materially_smaller() {
         let idx = wide_index();
         let n = idx.num_values();
-        let cold = cold_index_from_bytes(index_to_bytes(&idx)).unwrap();
         let flat_dir = (n + 1) * 4;
-        let v3_dir = cold.store().directory_bytes();
+        let v3_dir = with_paged(index_to_bytes(&idx), |s| s.unwrap().directory_bytes());
         assert!(
             v3_dir * 2 < flat_dir,
             "anchored directory ({v3_dir}) should be ≥ 2x smaller than fixed-width ({flat_dir})"
@@ -852,23 +859,21 @@ mod tests {
         assert!(seg.block_names().contains(&"index.postings3"));
         // Probe every value out of order so bounds() exercises anchor walks
         // at every in-group position, including across group boundaries.
-        let cold = cold_index_from_bytes(bytes).unwrap();
-        let mut values: Vec<(String, Vec<PostingEntry>)> = cold.store().iter_decoded().collect();
-        values.reverse();
+        let mut values: Vec<(&str, &[PostingEntry])> = idx.iter_values().collect();
+        values.sort_unstable_by_key(|(v, _)| std::cmp::Reverse(*v));
         let mut scratch = crate::ProbeScratch::new();
         let mut counters = crate::ProbeCounters::default();
-        for (v, pl) in &values {
+        with_paged(bytes, |cold| {
             use crate::PostingSource;
-            let h = cold
-                .store()
-                .find_list(v, &mut scratch)
-                .expect("known value");
-            assert_eq!(h.len as usize, pl.len());
-            let mut out = Vec::new();
-            cold.store()
-                .collect_run(h, 0, h.len, &mut scratch, &mut out, &mut counters);
-            assert_eq!(&out, pl);
-        }
+            let cold = cold.unwrap();
+            for (v, pl) in values {
+                let h = cold.find_list(v, &mut scratch).expect("known value");
+                assert_eq!(h.len as usize, pl.len());
+                let mut out = Vec::new();
+                cold.collect_run(h, 0, h.len, &mut scratch, &mut out, &mut counters);
+                assert_eq!(out, pl);
+            }
+        });
     }
 
     #[test]
@@ -894,7 +899,7 @@ mod tests {
             sw.add_block(name, seg.block(name).unwrap());
         }
         sw.add_block("index.postings3", Bytes::from(p3));
-        assert!(cold_index_from_bytes(sw.finish()).is_err());
+        assert!(with_paged(sw.finish(), |s| s.is_err()));
     }
 
     #[test]

@@ -20,11 +20,11 @@
 //! never drift apart; every method keeps the invariant "index == rebuild from
 //! corpus" (property-tested in `tests/`).
 //!
-//! Updates require the hot [`InvertedIndex`]; the cold segment-serving mode
-//! ([`crate::cold::ColdIndex`]) is read-only by design. A cold replica that
-//! needs to accept edits upgrades via [`crate::cold::ColdIndex::thaw`],
-//! mutates, and re-persists (which writes a fresh v2 segment) — see the
-//! `cold_thaw_update_refreeze` test below for the full cycle.
+//! Updates require the hot [`InvertedIndex`]; cold segments
+//! ([`crate::cold::ColdPostingStore`]) are read-only by design. A saved
+//! index that must accept edits is loaded hot
+//! ([`crate::persist::load_index`]), mutated, and re-persisted; the
+//! engine ([`crate::engine::Engine`]) instead routes edits to its memtable.
 
 use crate::index::InvertedIndex;
 use crate::posting::PostingEntry;
@@ -403,28 +403,6 @@ mod tests {
         u.delete_row(t1, RowId(0));
         u.delete_column(TableId(0), ColId(1));
         assert_matches_rebuild(&c, &idx);
-    }
-
-    #[test]
-    fn cold_thaw_update_refreeze() {
-        // The full life cycle of a read-only replica that must accept an
-        // edit: cold-load a v2 segment → thaw → update → re-persist → cold.
-        let (mut c, idx) = setup();
-        let cold = crate::persist::cold_index_from_bytes(crate::persist::index_to_bytes(&idx))
-            .expect("cold load");
-        let mut hot = cold.thaw();
-        {
-            let mut u = IndexUpdater::new(&mut c, &mut hot, Xash::new(HashSize::B128));
-            u.insert_row(TableId(0), &["grace", "hopper"]);
-        }
-        assert_matches_rebuild(&c, &hot);
-        let refrozen = crate::persist::cold_index_from_bytes(crate::persist::index_to_bytes(&hot))
-            .expect("refreeze");
-        assert_eq!(refrozen.num_postings(), hot.num_postings());
-        let thawed_again = refrozen.thaw();
-        for (v, pl) in hot.iter_values() {
-            assert_eq!(thawed_again.posting_list(v), Some(pl));
-        }
     }
 
     #[test]

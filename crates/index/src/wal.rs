@@ -24,7 +24,7 @@
 use crate::updates::IndexUpdater;
 use mate_hash::RowHasher;
 use mate_storage::{crc32::crc32, IoCtx as _, Reader, StorageError, Vfs, Writer};
-use mate_table::{ColId, Column, RowId, Table, TableId};
+use mate_table::{ColId, Column, Corpus, RowId, Table, TableId};
 use std::path::Path;
 
 /// One durable edit operation.
@@ -245,6 +245,48 @@ impl WalRecord {
             | WalRecord::DeleteColumn { table, .. }
             | WalRecord::DeleteTable { table } => Some(*table),
         }
+    }
+
+    /// Checks that the record fits `corpus`, the state it is about to be
+    /// applied to: its table exists, an inserted row has the table's
+    /// arity (a table without columns takes no rows), an inserted column
+    /// the table's length, and every row and column it names is in range.
+    /// [`WalRecord::apply`] panics on a record that fails this, so writers
+    /// check before the record reaches the log, and replay checks every
+    /// record it reads back.
+    pub fn check(&self, corpus: &Corpus) -> Result<(), StorageError> {
+        let Some(tid) = self.target_table() else {
+            return Ok(()); // a whole new table fits any corpus
+        };
+        let Some(table) = corpus.get(tid) else {
+            return Err(StorageError::InvalidLength {
+                context: "wal record table id",
+                value: u64::from(tid.0),
+            });
+        };
+        let (rows, cols) = (table.num_rows(), table.num_cols());
+        let misfit = match self {
+            WalRecord::InsertRow { cells, .. } if cols == 0 || cells.len() != cols => {
+                Some(("wal row arity", cells.len() as u64))
+            }
+            WalRecord::InsertColumn { values, .. } if values.len() != rows => {
+                Some(("wal column length", values.len() as u64))
+            }
+            WalRecord::UpdateCell { row, .. } | WalRecord::DeleteRow { row, .. }
+                if row.index() >= rows =>
+            {
+                Some(("wal record row", u64::from(row.0)))
+            }
+            WalRecord::UpdateCell { col, .. } | WalRecord::DeleteColumn { col, .. }
+                if col.index() >= cols =>
+            {
+                Some(("wal record column", u64::from(col.0)))
+            }
+            _ => None,
+        };
+        misfit.map_or(Ok(()), |(context, value)| {
+            Err(StorageError::InvalidLength { context, value })
+        })
     }
 
     /// Applies the record through an updater (live writes and replay).

@@ -53,6 +53,16 @@ pub enum StorageError {
         /// The decode error.
         source: Box<StorageError>,
     },
+    /// An error at a byte offset of the named file (`wal-…log at byte 96:
+    /// invalid length 1 while decoding wal column length`).
+    InFileAt {
+        /// The file holding the bad bytes.
+        path: PathBuf,
+        /// Byte offset of the bad record within the file.
+        offset: u64,
+        /// The error.
+        source: Box<StorageError>,
+    },
     /// The engine is in degraded read-only mode: an unhealable storage
     /// fault was detected (or durability became unknowable) and write
     /// paths refuse rather than risk committing unverifiable state. Reads
@@ -69,7 +79,9 @@ impl StorageError {
     pub fn is_io(&self) -> bool {
         match self {
             StorageError::Io(_) | StorageError::IoAt { .. } => true,
-            StorageError::InFile { source, .. } => source.is_io(),
+            StorageError::InFile { source, .. } | StorageError::InFileAt { source, .. } => {
+                source.is_io()
+            }
             _ => false,
         }
     }
@@ -116,6 +128,11 @@ impl fmt::Display for StorageError {
                 write!(f, "I/O error while {op} {}: {source}", path.display())
             }
             StorageError::InFile { path, source } => write!(f, "{}: {source}", path.display()),
+            StorageError::InFileAt {
+                path,
+                offset,
+                source,
+            } => write!(f, "{} at byte {offset}: {source}", path.display()),
             StorageError::Degraded { reason } => {
                 write!(f, "engine degraded to read-only: {reason}")
             }
@@ -128,7 +145,9 @@ impl std::error::Error for StorageError {
         match self {
             StorageError::Io(e) => Some(e),
             StorageError::IoAt { source, .. } => Some(source),
-            StorageError::InFile { source, .. } => Some(source.as_ref()),
+            StorageError::InFile { source, .. } | StorageError::InFileAt { source, .. } => {
+                Some(source.as_ref())
+            }
             _ => None,
         }
     }

@@ -62,8 +62,8 @@ pub const PAGER_CACHE_RANK: Rank = Rank::new(55, 0, "pager-cache");
 /// the probe used, and the same budget held 16× fewer distinct hot lists.
 /// Swept at equal budget (a page cache of 1/8 of the cold stack), query
 /// latency ranked 4 KiB ≈ 16 KiB ≫ 64 KiB, and bytes read per query
-/// were 0.14 / 1.0 / 20.6 MB. Whole-stream reads (compaction inputs,
-/// `thaw`) bypass the cache with one extent `pread`, and scrub streams
+/// were 0.14 / 1.0 / 20.6 MB. Whole-stream reads (compaction inputs)
+/// bypass the cache with one extent `pread`, and scrub streams
 /// files in its own larger chunks, so neither pays for the small grain.
 pub const DEFAULT_PAGE_SIZE: usize = 4 * 1024;
 

@@ -129,3 +129,101 @@ proptest! {
         prop_assert_eq!(with.top_k, without.top_k);
     }
 }
+
+/// A candidate table longer than the row filter's dense stamp range
+/// (16 Ki rows): past row 16 Ki, every row holding a query key repeats each
+/// key value across two columns, so the filter must deduplicate those rows
+/// through its far stamps. Hot and paged cold discovery agree with each
+/// other and with brute force on the top-k and on the row-filter checks.
+#[test]
+fn long_candidate_table_matches_oracle() {
+    use mate::index::{persist, ColdPostingStore};
+    use mate::storage::pager::{PageCache, DEFAULT_PAGE_SIZE};
+    use mate::storage::{SegmentReader, StdVfs};
+    use std::sync::Arc;
+
+    let (mut corpus, query) = build(11, 12, 8, 2);
+    let q = &query.table;
+    let key_rows: Vec<RowId> = (0..q.num_rows())
+        .map(RowId::from)
+        .filter(|&r| query.key.iter().all(|&c| !q.cell(r, c).is_empty()))
+        .collect();
+    let mut long = TableBuilder::new("long", ["a", "b", "c", "d", "e"]);
+    for r in 0..20_000usize {
+        let pad = format!("pad-{}", r % 101);
+        long = if r >= 16_400 && r % 7 == 0 {
+            let k = key_rows[(r / 7) % key_rows.len()];
+            let first = q.cell(k, query.key[0]);
+            // Odd rows carry only the first key value: filter candidates
+            // that cannot join.
+            let second = if r % 2 == 0 {
+                q.cell(k, query.key[1])
+            } else {
+                "no-match"
+            };
+            long.row([first, first, second, second, &pad])
+        } else {
+            long.row([pad.as_str(), "pad", "pad", "pad", "pad"])
+        };
+    }
+    let long_id = corpus.add_table(long.build());
+
+    let hasher = Xash::new(HashSize::B128);
+    let index = IndexBuilder::new(hasher).build(&corpus);
+    let bytes = persist::index_to_bytes(&index);
+    let path = std::env::temp_dir().join(format!("mate-oracle-long-{}.seg", std::process::id()));
+    std::fs::write(&path, &bytes).unwrap();
+    let cache = Arc::new(PageCache::new(
+        Arc::new(StdVfs),
+        DEFAULT_PAGE_SIZE,
+        1 << 20,
+        &Arc::new(mate::obs::Obs::new()),
+    ));
+    cache.register_segment(0, &path);
+    let cold: ColdPostingStore = SegmentReader::open(bytes)
+        .and_then(|seg| persist::read_cold_store_paged(&seg, &cache, 0))
+        .unwrap();
+
+    // No table pruning: every candidate's rows are filter-checked, so the
+    // check count has a closed form.
+    let config = MateConfig {
+        table_filtering: false,
+        ..Default::default()
+    };
+    let hot = MateDiscovery::with_config(&corpus, &index, &hasher, config.clone())
+        .discover(q, &query.key, 5);
+    let coldr = MateDiscovery::from_parts(&corpus, &cold, index.superkeys(), &hasher, config)
+        .discover(q, &query.key, 5);
+    let _ = std::fs::remove_file(&path);
+
+    let oracle = oracle_topk(&corpus, q, &query.key, 5);
+    let scores =
+        |r: &[mate::core::TableResult]| r.iter().map(|t| t.joinability).collect::<Vec<_>>();
+    assert_eq!(scores(&hot.top_k), scores(&oracle));
+    assert_eq!(hot.top_k, coldr.top_k);
+    assert!(
+        hot.top_k.iter().any(|t| t.table == long_id),
+        "{:?}",
+        hot.top_k
+    );
+
+    // Brute force: each key row is checked once against every candidate
+    // row holding its initial-column value, in however many columns.
+    let init = hot.stats.initial_column.expect("initial column");
+    let expected: usize = corpus
+        .iter()
+        .map(|(_, t)| {
+            key_rows
+                .iter()
+                .map(|&k| {
+                    let v = q.cell(k, init);
+                    (0..t.num_rows())
+                        .filter(|&r| t.row_iter(RowId::from(r)).any(|c| c == v))
+                        .count()
+                })
+                .sum::<usize>()
+        })
+        .sum();
+    assert_eq!(hot.stats.rows_filter_checked, expected);
+    assert_eq!(coldr.stats.rows_filter_checked, expected);
+}
