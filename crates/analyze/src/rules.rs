@@ -81,7 +81,7 @@ impl RuleId {
             }
             RuleId::PanicFreedom => {
                 "no unwrap/expect/panic!/unreachable!/todo! in non-test code of \
-                 crates/{storage,index,core} (bless: // panic-exempt: <invariant>)"
+                 crates/{storage,index,core,table} (bless: // panic-exempt: <invariant>)"
             }
             RuleId::LockDiscipline => {
                 "every lock in crates/index (and the shared page cache in \
@@ -107,7 +107,12 @@ impl RuleId {
         match self {
             RuleId::VfsSeam => &["crates/index/src", "crates/storage/src"],
             RuleId::ObsSeam => &["crates/core/src", "crates/index/src"],
-            RuleId::PanicFreedom => &["crates/storage/src", "crates/index/src", "crates/core/src"],
+            RuleId::PanicFreedom => &[
+                "crates/storage/src",
+                "crates/index/src",
+                "crates/core/src",
+                "crates/table/src",
+            ],
             // The page cache lives in mate_storage but participates in the
             // engine's lock-rank order (rank 55.0, `pager-cache`), so its
             // file rides along in the discipline scan.

@@ -42,8 +42,8 @@ impl<'a> UnionSearch<'a> {
         let mut overlap: FxHashMap<(u32, u32, u32), u64> = FxHashMap::default();
         for (qc, col) in query.columns().iter().enumerate() {
             let mut seen = std::collections::HashSet::new();
-            for v in &col.values {
-                if v.is_empty() || !seen.insert(v.as_str()) {
+            for v in col.iter() {
+                if v.is_empty() || !seen.insert(v) {
                     continue;
                 }
                 if let Some(pl) = self.index.posting_list(v) {

@@ -158,10 +158,8 @@ fn distinct_values(query: &Table, col: ColId) -> Vec<&str> {
     let mut seen = FxHashSet::default();
     query
         .column(col)
-        .values
         .iter()
         .filter(|v| !v.is_empty())
-        .map(String::as_str)
         .filter(|v| seen.insert(*v))
         .collect()
 }

@@ -52,7 +52,7 @@ impl DiscoverySystem for McrDiscovery<'_> {
             let mut col_set: FxHashSet<(u32, u32)> = FxHashSet::default();
             let mut seen_vals: FxHashSet<&str> = FxHashSet::default();
             let mut vid = 0u32;
-            for v in &query.column(q).values {
+            for v in query.column(q).iter() {
                 if v.is_empty() || !seen_vals.insert(v) {
                     continue;
                 }
@@ -152,12 +152,12 @@ fn query_rows_by_first_value(
 ) -> (Vec<Vec<(u32, u32)>>, u32) {
     let mut vids: FxHashMap<&str, u32> = FxHashMap::default();
     // Assign ids to distinct values in the same order the fetch loop does.
-    for v in &query.column(q0).values {
+    for v in query.column(q0).iter() {
         if v.is_empty() {
             continue;
         }
         let next = vids.len() as u32;
-        vids.entry(v.as_str()).or_insert(next);
+        vids.entry(v).or_insert(next);
     }
     let mut rows: Vec<Vec<(u32, u32)>> = vec![Vec::new(); vids.len()];
     let mut tuple_ids: FxHashMap<Vec<&str>, u32> = FxHashMap::default();

@@ -47,13 +47,7 @@ fn bench_posting_lookup(c: &mut Criterion) {
     let index = IndexBuilder::new(hasher).build(&corpus);
     let q = &queries[0];
     let col = q.key[0];
-    let values: Vec<&str> = q
-        .table
-        .column(col)
-        .values
-        .iter()
-        .map(String::as_str)
-        .collect();
+    let values: Vec<&str> = q.table.column(col).iter().collect();
     c.bench_function("posting_lookup", |b| {
         b.iter(|| {
             let mut total = 0usize;

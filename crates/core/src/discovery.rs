@@ -194,8 +194,8 @@ impl<'a> MateDiscovery<'a> {
         {
             let mut scratch = ProbeScratch::new();
             let mut seen: FxHashSet<&str> = FxHashSet::default();
-            for v in &query.column(initial).values {
-                if v.is_empty() || !seen.insert(v.as_str()) {
+            for v in query.column(initial).iter() {
+                if v.is_empty() || !seen.insert(v) {
                     continue;
                 }
                 // Only values that reach at least one usable query row matter.

@@ -72,8 +72,8 @@ pub fn pl_items_for_column(query: &Table, col: ColId, index: &dyn PostingSource)
     let mut seen = std::collections::HashSet::new();
     let mut scratch = mate_index::ProbeScratch::new();
     let mut total = 0usize;
-    for v in &query.column(col).values {
-        if v.is_empty() || !seen.insert(v.as_str()) {
+    for v in query.column(col).iter() {
+        if v.is_empty() || !seen.insert(v) {
             continue;
         }
         if let Some(list) = index.find_list(v, &mut scratch) {
@@ -89,8 +89,8 @@ pub fn pl_lists_for_column(query: &Table, col: ColId, index: &dyn PostingSource)
     let mut seen = std::collections::HashSet::new();
     let mut scratch = mate_index::ProbeScratch::new();
     let mut total = 0usize;
-    for v in &query.column(col).values {
-        if v.is_empty() || !seen.insert(v.as_str()) {
+    for v in query.column(col).iter() {
+        if v.is_empty() || !seen.insert(v) {
             continue;
         }
         if index.find_list(v, &mut scratch).is_some() {

@@ -627,3 +627,78 @@ fn memo_lives_and_dies_with_the_published_snapshot() {
     );
     std::fs::remove_dir_all(dir).ok();
 }
+
+/// The structural memory bound of a dictionary-encoded corpus: four bytes
+/// per cell, twice each column's distinct text, 64 bytes per column. A
+/// layout that gives any cell its own allocation (a 24-byte `String`
+/// header alone) cannot meet it.
+fn corpus_bound(corpus: &Corpus) -> (usize, usize) {
+    let (mut cells, mut text, mut cols) = (0, 0, 0);
+    for (_, t) in corpus.iter() {
+        for c in t.columns() {
+            let distinct: std::collections::HashSet<&str> = c.iter().collect();
+            cells += c.len();
+            text += distinct.iter().map(|v| v.len()).sum::<usize>();
+            cols += 1;
+        }
+    }
+    (4 * cells + 2 * text + 64 * cols, cells)
+}
+
+/// `Corpus::heap_bytes` of an open-data lake stays within the structural
+/// bound — as generated, as ingested and as reloaded from the checkpoint —
+/// and the engine exports it as `mem.corpus_bytes` with each snapshot.
+#[test]
+fn corpus_memory_ledger_on_open_data() {
+    let mut generator = LakeGenerator::new(LakeSpec::new(CorpusProfile::open_data(0), 5));
+    let mut corpus = Corpus::new();
+    let spec = QuerySpec {
+        rows: 200,
+        key_size: 2,
+        payload_cols: 4,
+        column_cardinality: 100,
+        column_cardinalities: None,
+        joinable_tables: 6,
+        fp_tables: 10,
+        share_range: (0.3, 0.9),
+        duplication: (1, 3),
+        fp_rows: (20, 60),
+        hard_fp_fraction: 0.15,
+        noise_rows: (10, 40),
+    };
+    generator.generate_query(&mut corpus, &spec);
+    generator.generate_noise(&mut corpus, 10);
+    let (bound, cells) = corpus_bound(&corpus);
+    assert!(
+        cells > 10_000,
+        "lake too small to mean anything: {cells} cells"
+    );
+    assert!(bound < 24 * cells, "bound {bound} admits a String per cell");
+    assert!(
+        corpus.heap_bytes() <= bound,
+        "{} > {bound}",
+        corpus.heap_bytes()
+    );
+
+    let dir = tmpdir("ledger");
+    let gauge = |lake: &EngineLake| lake.obs_handle().gauge("mem.corpus_bytes").get() as usize;
+    let lake = EngineLake::create(dir.join("lake"), EngineConfig::default()).unwrap();
+    lake.apply_many(
+        corpus
+            .iter()
+            .map(|(_, t)| WalRecord::InsertTable { table: t.clone() }),
+    )
+    .unwrap();
+    let ingested = lake.reader().snapshot().corpus().heap_bytes();
+    assert_eq!(gauge(&lake), ingested);
+    assert!(ingested <= bound, "{ingested} > {bound}");
+    lake.flush().unwrap();
+    drop(lake);
+
+    let lake = EngineLake::open(dir.join("lake"), EngineConfig::default()).unwrap();
+    let reloaded = lake.reader().snapshot().corpus().heap_bytes();
+    assert_eq!(gauge(&lake), reloaded);
+    assert!(reloaded <= bound, "{reloaded} > {bound}");
+    drop(lake);
+    std::fs::remove_dir_all(dir).ok();
+}

@@ -204,12 +204,7 @@ fn all_pairs(candidate: &Table, query: &Table, q_cols: &[ColId]) -> Vec<RowPair>
 fn small_table(name: &str, cols: usize, cells: Vec<String>) -> Table {
     let rows = cells.len() / cols;
     let columns = (0..cols)
-        .map(|c| mate_table::Column {
-            name: format!("c{c}"),
-            values: (0..rows)
-                .map(|r| mate_table::normalize(&cells[r * cols + c]))
-                .collect(),
-        })
+        .map(|c| mate_table::Column::new(format!("c{c}"), (0..rows).map(|r| &cells[r * cols + c])))
         .collect();
     Table::new(name, columns)
 }

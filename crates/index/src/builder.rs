@@ -260,22 +260,31 @@ fn index_table<H: RowHasher>(
     sk_store: &mut SuperKeyStore,
     hash_cache: &mut Vec<HashBits>,
 ) {
+    // Store id of each entry of the column's dictionary, interned at its
+    // first row (`u32::MAX`: not yet), so values keep their first-seen order.
+    let mut vids: Vec<u32> = Vec::new();
     for (ci, col) in table.columns().iter().enumerate() {
-        for (ri, value) in col.values.iter().enumerate() {
+        vids.clear();
+        vids.resize(col.num_entries(), u32::MAX);
+        for (ri, &id) in col.ids().iter().enumerate() {
+            let value = col.entry(id);
             if value.is_empty() {
                 continue;
             }
-            let vid = store.intern(value);
-            store.append(vid, PostingEntry::new(tid, ci as u32, ri as u32));
+            let vid = &mut vids[id as usize];
+            if *vid == u32::MAX {
+                *vid = store.intern(value);
+            }
+            store.append(*vid, PostingEntry::new(tid, ci as u32, ri as u32));
             // Values repeat heavily (Zipf lakes); hash each distinct value
             // once. New ids are dense, so the cache is a Vec, not a map.
-            if vid as usize == hash_cache.len() {
+            if *vid as usize == hash_cache.len() {
                 hash_cache.push(hasher.hash_value(value));
             }
             sk_store.or_into(
                 store_tid,
                 mate_table::RowId::from(ri),
-                hash_cache[vid as usize].words(),
+                hash_cache[*vid as usize].words(),
             );
         }
     }

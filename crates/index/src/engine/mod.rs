@@ -211,7 +211,7 @@ use crate::superkeys::SuperKeyStore;
 use crate::updates::IndexUpdater;
 use crate::wal::{self, frame_record, WalRecord};
 use bytes::Bytes;
-use mate_hash::{HashSize, RowHasher, Xash};
+use mate_hash::{HashBits, HashSize, RowHasher, Xash};
 use mate_obs::Obs;
 use mate_storage::manifest::write_file_atomic_vfs;
 use mate_storage::pager::{PageCache, DEFAULT_PAGE_SIZE};
@@ -619,6 +619,9 @@ struct Counters {
     scrub_corruptions_found: Arc<mate_obs::Counter>,
     segments_quarantined: Arc<mate_obs::Counter>,
     segments_rebuilt: Arc<mate_obs::Counter>,
+    /// `mem.corpus_bytes`: [`Corpus::heap_bytes`] of the corpus the latest
+    /// snapshot pins, set whenever one is built.
+    corpus_bytes: Arc<mate_obs::Gauge>,
 }
 
 impl Counters {
@@ -638,6 +641,7 @@ impl Counters {
             scrub_corruptions_found: obs.counter("engine.scrub_corruptions_found"),
             segments_quarantined: obs.counter("engine.segments_quarantined"),
             segments_rebuilt: obs.counter("engine.segments_rebuilt"),
+            corpus_bytes: obs.gauge("mem.corpus_bytes"),
         }
     }
 }
@@ -695,6 +699,9 @@ pub struct Engine {
     corpus: Arc<Corpus>,
     /// Hot layer: the posting store of every memtable-owned table.
     mem: Arc<PostingStore>,
+    /// Hash of each `mem` value id, filled on first use (values that
+    /// `promote` interns stay empty until hashed). Cleared with `mem`.
+    mem_hashes: Vec<Option<HashBits>>,
     /// The global super-key store (always materialized and current).
     superkeys: Arc<SuperKeyStore>,
     /// Cold segment stack, oldest first.
@@ -932,6 +939,7 @@ impl Engine {
             owners: vec![Owner::None; corpus.len()],
             corpus: Arc::new(corpus),
             mem: Arc::new(PostingStore::new()),
+            mem_hashes: Vec::new(),
             superkeys: Arc::new(superkeys),
             counters: Counters::new(&config.obs),
             source_cache: SourceCache::new(&config.obs),
@@ -1139,10 +1147,7 @@ impl Engine {
                 col,
                 value,
             } => self.corpus.get(*table).is_none_or(|t| {
-                t.columns()
-                    .get(col.index())
-                    .and_then(|c| c.values.get(row.index()))
-                    != Some(value)
+                t.columns().get(col.index()).and_then(|c| c.get(*row)) != Some(value.as_str())
             }),
             _ => true,
         }
@@ -1190,6 +1195,7 @@ impl Engine {
                     Arc::make_mut(&mut self.mem),
                     Arc::make_mut(&mut self.superkeys),
                     self.hasher,
+                    Some(&mut self.mem_hashes),
                 ));
             }
         }
@@ -1219,7 +1225,7 @@ impl Engine {
         let table = self.corpus.table(t);
         let store = Arc::make_mut(&mut self.mem);
         for (ci, col) in table.columns().iter().enumerate() {
-            for (ri, v) in col.values.iter().enumerate() {
+            for (ri, v) in col.iter().enumerate() {
                 if v.is_empty() {
                     continue;
                 }
@@ -1329,6 +1335,7 @@ impl Engine {
             // still pins the old store, `make_mut` would deep-copy it just
             // to throw it away.
             self.mem = Arc::new(PostingStore::new());
+            self.mem_hashes.clear();
             for owner in &mut self.owners {
                 if *owner == Owner::Mem {
                     *owner = Owner::None;
@@ -1961,12 +1968,13 @@ impl Engine {
             let table = watermark.table(TableId(t));
             let mut count = 0u64;
             for (ci, col) in table.columns().iter().enumerate() {
-                for (ri, v) in col.values.iter().enumerate() {
+                for (ri, v) in col.iter().enumerate() {
                     if !v.is_empty() {
-                        merged
-                            .entry(v.as_str())
-                            .or_default()
-                            .push(PostingEntry::new(TableId(t), ci as u32, ri as u32));
+                        merged.entry(v).or_default().push(PostingEntry::new(
+                            TableId(t),
+                            ci as u32,
+                            ri as u32,
+                        ));
                         count += 1;
                     }
                 }
@@ -1990,7 +1998,7 @@ impl Engine {
         for (_, table) in watermark.iter() {
             let tid = sk.push_table(table.num_rows());
             for col in table.columns() {
-                for (ri, v) in col.values.iter().enumerate() {
+                for (ri, v) in col.iter().enumerate() {
                     if !v.is_empty() {
                         let h = self.hasher.hash_value(v);
                         sk.or_into(tid, RowId::from(ri), h.words());
@@ -2071,6 +2079,9 @@ impl Engine {
                     .iter()
                     .map(|l| PostingSource::num_values(&l.store))
                     .sum::<usize>();
+            self.counters
+                .corpus_bytes
+                .set(self.corpus.heap_bytes() as u64);
             Arc::new(EngineSnapshot {
                 corpus: Arc::clone(&self.corpus),
                 mem: Arc::clone(&self.mem),

@@ -36,7 +36,7 @@ use mate_storage::{
     DictBuilder, Dictionary, IoCtx as _, Reader, SegmentReader, SegmentWriter, StdVfs,
     StorageError, Vfs, Writer,
 };
-use mate_table::{Column, Corpus, Table, TableId};
+use mate_table::{Column, ColumnBuilder, Corpus, Table, TableId};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -47,8 +47,11 @@ pub const VALUE_RESTART_INTERVAL: usize = 16;
 
 /// Serializes a corpus into segment bytes.
 pub fn corpus_to_bytes(corpus: &Corpus) -> Bytes {
-    // Dictionary over all cell values.
+    // Dictionary over all cell values, in first-occurrence order. Each
+    // column dictionary entry is interned once, at its first row; `global`
+    // maps the column's entry ids to corpus ids (`u32::MAX`: not yet).
     let mut dict = DictBuilder::new();
+    let mut global: Vec<u32> = Vec::new();
     let mut tables = Writer::new();
     tables.put_varint(corpus.len() as u64);
     for (_, table) in corpus.iter() {
@@ -57,8 +60,14 @@ pub fn corpus_to_bytes(corpus: &Corpus) -> Bytes {
         tables.put_varint(table.num_rows() as u64);
         for col in table.columns() {
             tables.put_str(&col.name);
-            for v in &col.values {
-                tables.put_varint(dict.intern(v) as u64);
+            global.clear();
+            global.resize(col.num_entries(), u32::MAX);
+            for &id in col.ids() {
+                let g = &mut global[id as usize];
+                if *g == u32::MAX {
+                    *g = dict.intern(col.entry(id));
+                }
+                tables.put_varint(u64::from(*g));
             }
         }
     }
@@ -77,37 +86,57 @@ pub fn corpus_to_bytes(corpus: &Corpus) -> Bytes {
     seg.finish()
 }
 
-/// Deserializes a corpus from segment bytes.
+/// Deserializes a corpus from segment bytes. Cell ids go straight into
+/// per-column dictionary ids: no cell is materialized as a `String`.
 pub fn corpus_from_bytes(data: Bytes) -> Result<Corpus, StorageError> {
     let seg = SegmentReader::open(data)?;
     let dict = Dictionary::decode(&mut Reader::new(seg.block("corpus.dict")?))?;
     let mut r = Reader::new(seg.block("corpus.tables")?);
     let ntables = r.get_varint()? as usize;
     let mut corpus = Corpus::new();
+    let bad_id = |id: u64| StorageError::InvalidLength {
+        context: "cell dictionary id",
+        value: id,
+    };
+    // Corpus id → id in the column being decoded (`u32::MAX`: not yet),
+    // reset through `entries` (the column's corpus ids in order).
+    let mut local = vec![u32::MAX; dict.len()];
+    let mut entries: Vec<u32> = Vec::new();
     for _ in 0..ntables {
         let name = r.get_str()?;
         let ncols = r.get_varint()? as usize;
         let nrows = r.get_varint()? as usize;
-        let mut columns = Vec::with_capacity(ncols);
+        let mut columns = Vec::with_capacity(ncols.min(r.remaining()));
         for _ in 0..ncols {
             let col_name = r.get_str()?;
-            let mut values = Vec::with_capacity(nrows);
+            let mut ids = Vec::with_capacity(nrows.min(r.remaining()));
             for _ in 0..nrows {
                 let id = r.get_varint()?;
-                let v = dict.get(id as u32).ok_or(StorageError::InvalidLength {
-                    context: "cell dictionary id",
-                    value: id,
-                })?;
-                values.push(v.to_string());
+                let slot = local.get_mut(id as usize).ok_or_else(|| bad_id(id))?;
+                if *slot == u32::MAX {
+                    *slot = entries.len() as u32;
+                    entries.push(id as u32);
+                }
+                ids.push(*slot);
             }
-            columns.push(Column {
-                name: col_name,
-                values,
-            });
+            let texts = entries.iter().filter_map(|&g| dict.get(g));
+            let column = Column::from_dictionary(col_name, texts, ids);
+            for &g in &entries {
+                local[g as usize] = u32::MAX;
+            }
+            entries.clear();
+            columns.push(column.ok_or_else(|| bad_id(u64::from(u32::MAX)))?);
         }
         corpus.add_table(Table::new(name, columns));
     }
     Ok(corpus)
+}
+
+/// Reads one length-prefixed cell into `col` without allocating it.
+pub(crate) fn read_cell(r: &mut Reader, col: &mut ColumnBuilder) -> Result<(), StorageError> {
+    let b = r.get_bytes()?;
+    col.push(std::str::from_utf8(&b).map_err(|_| StorageError::InvalidUtf8)?);
+    Ok(())
 }
 
 /// Writes a corpus to a segment file (atomically: tmp + fsync + rename +
@@ -152,7 +181,7 @@ pub(crate) fn corpus_delta_to_bytes(corpus: &Corpus, tables: &[u32]) -> Bytes {
         w.put_varint(table.num_rows() as u64);
         for col in table.columns() {
             w.put_str(&col.name);
-            for v in &col.values {
+            for v in col.iter() {
                 w.put_str(v);
             }
         }
@@ -179,15 +208,11 @@ pub(crate) fn apply_corpus_delta(corpus: &mut Corpus, payload: Bytes) -> Result<
         let nrows = r.get_varint()? as usize;
         let mut columns = Vec::with_capacity(ncols.min(r.remaining()));
         for _ in 0..ncols {
-            let col_name = r.get_str()?;
-            let mut values = Vec::with_capacity(nrows.min(r.remaining()));
+            let mut col = ColumnBuilder::new(r.get_str()?, nrows.min(r.remaining()));
             for _ in 0..nrows {
-                values.push(r.get_str()?);
+                read_cell(&mut r, &mut col)?;
             }
-            columns.push(Column {
-                name: col_name,
-                values,
-            });
+            columns.push(col.finish());
         }
         let table = Table::new(name, columns);
         if id == corpus.len() {
@@ -979,6 +1004,95 @@ mod tests {
             apply_corpus_delta(&mut twice, resync.clone()).unwrap();
             apply_corpus_delta(&mut twice, resync).unwrap();
             prop_assert_eq!(corpus_to_bytes(&twice), corpus_to_bytes(&live));
+        }
+
+        /// Checkpoint and delta bytes survive a decode and re-encode
+        /// unchanged, and the checkpoint equals one written by interning
+        /// every cell in row order — over cells with empty and non-ASCII
+        /// text, and tables whose edits left stale or duplicate
+        /// dictionary entries.
+        #[test]
+        fn checkpoint_and_delta_bytes_round_trip(
+            tables in proptest::collection::vec(
+                (1usize..4, proptest::collection::vec(0usize..8, 0..12)),
+                0..5,
+            ),
+            edits in proptest::collection::vec(
+                (0usize..5, 0usize..12, 0usize..4, 0u8..4, 0usize..8),
+                0..40,
+            ),
+        ) {
+            const TEXT: [&str; 8] = ["", "a", "É", "日本", "  x  Y ", "ß", "ab", "é日"];
+            let mut corpus = Corpus::new();
+            for (i, (ncols, cells)) in tables.iter().enumerate() {
+                let cols: Vec<String> = (0..*ncols).map(|c| format!("c{c}")).collect();
+                let mut tb = TableBuilder::new(format!("t{i}"), cols);
+                for chunk in cells.chunks_exact(*ncols) {
+                    tb = tb.row(chunk.iter().map(|&c| TEXT[c]));
+                }
+                corpus.add_table(tb.build());
+            }
+            for (t, row, col, op, v) in edits {
+                let v = TEXT[v];
+                if corpus.is_empty() {
+                    break;
+                }
+                let table = corpus.table_mut(TableId::from(t % corpus.len()));
+                let (rows, cols) = (table.num_rows(), table.num_cols());
+                match op {
+                    0 if rows > 0 => table.set_cell(RowId::from(row % rows), (col % cols).into(), v),
+                    1 if cols > 0 => table.push_row(&vec![v; cols]),
+                    2 if rows > 0 => table.swap_remove_row(RowId::from(row % rows)),
+                    3 if cols > 1 => {
+                        let moved = table.remove_column((col % cols).into());
+                        table.push_column(moved);
+                    }
+                    _ => {}
+                }
+            }
+
+            let bytes = corpus_to_bytes(&corpus);
+            let decoded = corpus_from_bytes(bytes.clone()).unwrap();
+            prop_assert_eq!(&corpus_to_bytes(&decoded), &bytes);
+            for (tid, t) in corpus.iter() {
+                prop_assert_eq!(t, decoded.table(tid));
+            }
+
+            // The per-cell reference: one intern per cell, row order.
+            let mut dict = std::collections::HashMap::new();
+            let mut ordered: Vec<&str> = Vec::new();
+            let mut cells = Writer::new();
+            cells.put_varint(corpus.len() as u64);
+            for (_, t) in corpus.iter() {
+                cells.put_str(&t.name);
+                cells.put_varint(t.num_cols() as u64);
+                cells.put_varint(t.num_rows() as u64);
+                for c in t.columns() {
+                    cells.put_str(&c.name);
+                    for v in c.iter() {
+                        let id = *dict.entry(v).or_insert_with(|| {
+                            ordered.push(v);
+                            ordered.len() - 1
+                        });
+                        cells.put_varint(id as u64);
+                    }
+                }
+            }
+            let seg = SegmentReader::open(bytes).unwrap();
+            let mut dict_block = Writer::new();
+            dict_block.put_varint(ordered.len() as u64);
+            for v in &ordered {
+                dict_block.put_str(v);
+            }
+            prop_assert_eq!(seg.block("corpus.dict").unwrap(), dict_block.finish());
+            prop_assert_eq!(seg.block("corpus.tables").unwrap(), cells.finish());
+
+            let all: Vec<u32> = (0..corpus.len() as u32).collect();
+            let delta = corpus_delta_to_bytes(&corpus, &all);
+            let mut replayed = Corpus::new();
+            apply_corpus_delta(&mut replayed, delta.clone()).unwrap();
+            prop_assert_eq!(corpus_delta_to_bytes(&replayed, &all), delta);
+            prop_assert_eq!(corpus_to_bytes(&replayed), corpus_to_bytes(&corpus));
         }
     }
 }

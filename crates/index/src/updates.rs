@@ -30,7 +30,7 @@ use crate::index::InvertedIndex;
 use crate::posting::PostingEntry;
 use crate::store::PostingStore;
 use crate::superkeys::SuperKeyStore;
-use mate_hash::RowHasher;
+use mate_hash::{HashBits, RowHasher};
 use mate_table::{ColId, Column, Corpus, RowId, Table, TableId};
 
 /// Applies edits to a corpus and its index in lock-step: one posting store
@@ -42,6 +42,9 @@ pub struct IndexUpdater<'a, H: RowHasher> {
     store: &'a mut PostingStore,
     superkeys: &'a mut SuperKeyStore,
     hasher: H,
+    /// Hash of each `store` value id, filled on first use; `None` hashes
+    /// every cell (see [`cached_hash`]).
+    hashes: Option<&'a mut Vec<Option<HashBits>>>,
 }
 
 impl<'a, H: RowHasher> IndexUpdater<'a, H> {
@@ -58,23 +61,27 @@ impl<'a, H: RowHasher> IndexUpdater<'a, H> {
             index.hasher_name(),
             "hasher kind does not match index"
         );
-        IndexUpdater::from_parts(corpus, &mut index.store, &mut index.superkeys, hasher)
+        IndexUpdater::from_parts(corpus, &mut index.store, &mut index.superkeys, hasher, None)
     }
 
     /// Creates an updater over a posting store and a super-key store held
     /// apart (the engine's memtable). The engine validates hasher
-    /// compatibility at open, so no check here.
+    /// compatibility at open, so no check here. `hashes`, when given,
+    /// caches the hash of each `store` value id across calls: it must be
+    /// empty or have been filled against this same store only.
     pub(crate) fn from_parts(
         corpus: &'a mut Corpus,
         store: &'a mut PostingStore,
         superkeys: &'a mut SuperKeyStore,
         hasher: H,
+        hashes: Option<&'a mut Vec<Option<HashBits>>>,
     ) -> Self {
         IndexUpdater {
             corpus,
             store,
             superkeys,
             hasher,
+            hashes,
         }
     }
 
@@ -103,14 +110,13 @@ impl<'a, H: RowHasher> IndexUpdater<'a, H> {
     pub fn insert_column(&mut self, tid: TableId, column: Column) -> ColId {
         let col = ColId::from(self.corpus.table(tid).num_cols());
         self.corpus.table_mut(tid).push_column(column);
-        let values = &self.corpus.table(tid).column(col).values;
-        for (r, value) in values.iter().enumerate() {
+        for (r, value) in self.corpus.table(tid).column(col).iter().enumerate() {
             if value.is_empty() {
                 continue;
             }
             let row = RowId::from(r);
-            insert_posting(self.store, value, PostingEntry::new(tid, col, row));
-            let h = self.hasher.hash_value(value);
+            let vid = insert_posting(self.store, value, PostingEntry::new(tid, col, row));
+            let h = cached_hash(&mut self.hashes, &self.hasher, vid, value);
             self.superkeys.or_into(tid, row, h.words());
         }
         col
@@ -167,7 +173,7 @@ impl<'a, H: RowHasher> IndexUpdater<'a, H> {
     pub fn delete_table(&mut self, tid: TableId) {
         let table = self.corpus.table(tid);
         for (ci, col) in table.columns().iter().enumerate() {
-            for (ri, v) in col.values.iter().enumerate() {
+            for (ri, v) in col.iter().enumerate() {
                 if !v.is_empty() {
                     remove_posting(self.store, v, PostingEntry::new(tid, ci as u32, ri as u32));
                 }
@@ -182,14 +188,14 @@ impl<'a, H: RowHasher> IndexUpdater<'a, H> {
     /// key (§5.4: "deleting a column ... triggering a rehashing of all rows").
     pub fn delete_column(&mut self, tid: TableId, col: ColId) {
         let table = self.corpus.table(tid);
-        for (ri, v) in table.column(col).values.iter().enumerate() {
+        for (ri, v) in table.column(col).iter().enumerate() {
             if !v.is_empty() {
                 remove_posting(self.store, v, PostingEntry::new(tid, col, RowId::from(ri)));
             }
         }
         // Columns right of `col` shift left by one: re-point their postings.
         for ci in col.index() + 1..table.num_cols() {
-            for (ri, v) in table.column(ColId::from(ci)).values.iter().enumerate() {
+            for (ri, v) in table.column(ColId::from(ci)).iter().enumerate() {
                 if v.is_empty() {
                     continue;
                 }
@@ -210,8 +216,8 @@ impl<'a, H: RowHasher> IndexUpdater<'a, H> {
             if v.is_empty() {
                 continue;
             }
-            insert_posting(self.store, v, PostingEntry::new(tid, ci as u32, row));
-            let h = self.hasher.hash_value(v);
+            let vid = insert_posting(self.store, v, PostingEntry::new(tid, ci as u32, row));
+            let h = cached_hash(&mut self.hashes, &self.hasher, vid, v);
             self.superkeys.or_into(tid, row, h.words());
         }
     }
@@ -224,9 +230,29 @@ impl<'a, H: RowHasher> IndexUpdater<'a, H> {
     }
 }
 
-fn insert_posting(store: &mut PostingStore, value: &str, entry: PostingEntry) {
+/// The hash of `value`, whose store id is `vid`: from `cache` when there
+/// is one (store ids are stable for a store's lifetime), else computed.
+fn cached_hash<H: RowHasher>(
+    cache: &mut Option<&mut Vec<Option<HashBits>>>,
+    hasher: &H,
+    vid: u32,
+    value: &str,
+) -> HashBits {
+    let Some(cache) = cache else {
+        return hasher.hash_value(value);
+    };
+    let i = vid as usize;
+    if i >= cache.len() {
+        cache.resize(i + 1, None);
+    }
+    *cache[i].get_or_insert_with(|| hasher.hash_value(value))
+}
+
+/// Adds `entry` to the run of `value`; returns the value's store id.
+fn insert_posting(store: &mut PostingStore, value: &str, entry: PostingEntry) -> u32 {
     let vid = store.intern(value);
     store.insert_sorted(vid, entry);
+    vid
 }
 
 fn remove_posting(store: &mut PostingStore, value: &str, entry: PostingEntry) {

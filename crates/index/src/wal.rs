@@ -21,10 +21,11 @@
 //! payload: opcode u8 + operands (varint/string encoded)
 //! ```
 
+use crate::persist;
 use crate::updates::IndexUpdater;
 use mate_hash::RowHasher;
 use mate_storage::{crc32::crc32, IoCtx as _, Reader, StorageError, Vfs, Writer};
-use mate_table::{ColId, Column, Corpus, RowId, Table, TableId};
+use mate_table::{ColId, Column, ColumnBuilder, Corpus, RowId, Table, TableId};
 use std::path::Path;
 
 /// One durable edit operation.
@@ -107,7 +108,7 @@ impl WalRecord {
                 w.put_varint(table.num_rows() as u64);
                 for col in table.columns() {
                     w.put_str(&col.name);
-                    for v in &col.values {
+                    for v in col.iter() {
                         w.put_str(v);
                     }
                 }
@@ -168,15 +169,11 @@ impl WalRecord {
                 let nrows = r.get_varint()? as usize;
                 let mut columns = Vec::with_capacity(ncols);
                 for _ in 0..ncols {
-                    let cname = r.get_str()?;
-                    let mut values = Vec::with_capacity(nrows);
+                    let mut col = ColumnBuilder::new(r.get_str()?, nrows.min(r.remaining()));
                     for _ in 0..nrows {
-                        values.push(r.get_str()?);
+                        persist::read_cell(&mut r, &mut col)?;
                     }
-                    columns.push(Column {
-                        name: cname,
-                        values,
-                    });
+                    columns.push(col.finish());
                 }
                 WalRecord::InsertTable {
                     table: Table::new(name, columns),

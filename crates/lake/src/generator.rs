@@ -4,7 +4,7 @@
 use crate::profile::LakeSpec;
 use crate::words::WordGenerator;
 use crate::zipf::ZipfSampler;
-use mate_table::{ColId, Column, Corpus, Table, TableId};
+use mate_table::{ColId, ColumnBuilder, Corpus, Table, TableId};
 use rand::prelude::*;
 
 /// Parameters for one query table and its planted neighborhood.
@@ -161,11 +161,12 @@ impl LakeGenerator {
         let mut columns = Vec::with_capacity(ncols);
         for c in 0..ncols {
             let d = self.rng.random_range(0..self.domains.len());
-            let values: Vec<String> = (0..nrows).map(|_| self.domain_value(d)).collect();
-            columns.push(Column {
-                name: format!("c{c}"),
-                values,
-            });
+            let mut col = ColumnBuilder::new(format!("c{c}"), nrows);
+            for _ in 0..nrows {
+                let rank = self.zipf.sample(&mut self.rng);
+                col.push(&self.domains[d][rank]);
+            }
+            columns.push(col.finish());
         }
         Table::new(name, columns)
     }
@@ -228,15 +229,12 @@ impl LakeGenerator {
         positions.shuffle(&mut self.rng);
         let key_positions: Vec<usize> = positions[..qs.key_size].to_vec();
 
-        let mut columns: Vec<Column> = (0..total_cols)
-            .map(|c| Column {
-                name: format!("q{c}"),
-                values: Vec::with_capacity(qs.rows),
-            })
+        let mut columns: Vec<ColumnBuilder> = (0..total_cols)
+            .map(|c| ColumnBuilder::new(format!("q{c}"), qs.rows))
             .collect();
         for tuple in &key_rows {
             for (ki, &pos) in key_positions.iter().enumerate() {
-                columns[pos].values.push(tuple[ki].clone());
+                columns[pos].push(&tuple[ki]);
             }
         }
         for (pos, col) in columns.iter_mut().enumerate() {
@@ -245,13 +243,11 @@ impl LakeGenerator {
             }
             let d = self.rng.random_range(0..self.domains.len());
             for _ in 0..qs.rows {
-                let v = {
-                    let rank = self.zipf.sample(&mut self.rng);
-                    self.domains[d][rank].clone()
-                };
-                col.values.push(v);
+                let rank = self.zipf.sample(&mut self.rng);
+                col.push(&self.domains[d][rank]);
             }
         }
+        let columns = columns.into_iter().map(ColumnBuilder::finish).collect();
         let query_table = Table::new(self.fresh_name("query"), columns);
         let key: Vec<ColId> = key_positions.iter().map(|&p| ColId::from(p)).collect();
 
@@ -329,15 +325,12 @@ impl LakeGenerator {
         let key_positions = &positions[..m];
 
         let nrows = rows.len();
-        let mut columns: Vec<Column> = (0..total_cols)
-            .map(|c| Column {
-                name: format!("c{c}"),
-                values: Vec::with_capacity(nrows),
-            })
+        let mut columns: Vec<ColumnBuilder> = (0..total_cols)
+            .map(|c| ColumnBuilder::new(format!("c{c}"), nrows))
             .collect();
         for row in &rows {
             for (ki, &pos) in key_positions.iter().enumerate() {
-                columns[pos].values.push(row[ki].clone());
+                columns[pos].push(&row[ki]);
             }
         }
         for (pos, col) in columns.iter_mut().enumerate() {
@@ -347,9 +340,10 @@ impl LakeGenerator {
             let d = self.rng.random_range(0..self.domains.len());
             for _ in 0..nrows {
                 let rank = self.zipf.sample(&mut self.rng);
-                col.values.push(self.domains[d][rank].clone());
+                col.push(&self.domains[d][rank]);
             }
         }
+        let columns = columns.into_iter().map(ColumnBuilder::finish).collect();
         Table::new(self.fresh_name("joinable"), columns)
     }
 
@@ -416,24 +410,22 @@ impl LakeGenerator {
         let extra_cols = self.rng.random_range(1..=2usize);
         let total_cols = m + extra_cols;
         let nrows = out_rows.len();
-        let mut columns: Vec<Column> = (0..total_cols)
-            .map(|c| Column {
-                name: format!("c{c}"),
-                values: Vec::with_capacity(nrows),
-            })
+        let mut columns: Vec<ColumnBuilder> = (0..total_cols)
+            .map(|c| ColumnBuilder::new(format!("c{c}"), nrows))
             .collect();
         for row in &out_rows {
             for (ki, v) in row.iter().enumerate() {
-                columns[ki].values.push(v.clone());
+                columns[ki].push(v);
             }
         }
         for col in columns.iter_mut().skip(m) {
             let d = self.rng.random_range(0..self.domains.len());
             for _ in 0..nrows {
                 let rank = self.zipf.sample(&mut self.rng);
-                col.values.push(self.domains[d][rank].clone());
+                col.push(&self.domains[d][rank]);
             }
         }
+        let columns = columns.into_iter().map(ColumnBuilder::finish).collect();
         Table::new(self.fresh_name("fp"), columns)
     }
 }

@@ -5,7 +5,7 @@
 //! in Algorithm 1 of the paper) re-reads the actual cell values from here.
 
 use crate::ids::TableId;
-use crate::table::Table;
+use crate::table::{Column, Table};
 use std::sync::Arc;
 
 /// A collection of tables addressed by [`TableId`].
@@ -111,12 +111,26 @@ impl Corpus {
         let mut seen = std::collections::HashSet::new();
         for t in &self.tables {
             for c in t.columns() {
-                for v in &c.values {
-                    seen.insert(v.as_str());
-                }
+                seen.extend(c.iter());
             }
         }
         seen.len()
+    }
+
+    /// Heap bytes the corpus holds, from capacities: the table spine and,
+    /// per table, its shared allocation (two reference counts and the
+    /// table), name, column spine and [`Column::heap_bytes`]. A table
+    /// shared with a clone is counted in full by each.
+    pub fn heap_bytes(&self) -> usize {
+        let table = 2 * std::mem::size_of::<usize>() + std::mem::size_of::<Table>();
+        let tables = self.tables.iter().map(|t| {
+            let cols = t.columns();
+            table
+                + t.name.capacity()
+                + std::mem::size_of_val(cols)
+                + cols.iter().map(Column::heap_bytes).sum::<usize>()
+        });
+        self.tables.capacity() * std::mem::size_of::<Arc<Table>>() + tables.sum::<usize>()
     }
 }
 

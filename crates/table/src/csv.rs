@@ -5,7 +5,7 @@
 //! real-world-shaped files and the lake generator exports corpora for
 //! inspection, neither of which needs a streaming parser.
 
-use crate::table::{Column, Table};
+use crate::table::{ColumnBuilder, Table};
 
 /// Errors produced by [`parse_csv`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -118,12 +118,10 @@ pub fn parse_csv(name: &str, input: &str) -> Result<Table, CsvError> {
     let mut it = records.into_iter();
     let header = it.next().ok_or(CsvError::Empty)?;
     let ncols = header.len();
-    let mut columns: Vec<Column> = header
+    let rows = it.len();
+    let mut columns: Vec<ColumnBuilder> = header
         .into_iter()
-        .map(|h| Column {
-            name: h,
-            values: Vec::new(),
-        })
+        .map(|h| ColumnBuilder::new(h, rows))
         .collect();
     for (i, rec) in it.enumerate() {
         // A lone trailing newline yields an empty single-field record; skip it.
@@ -138,9 +136,10 @@ pub fn parse_csv(name: &str, input: &str) -> Result<Table, CsvError> {
             });
         }
         for (col, cell) in columns.iter_mut().zip(rec) {
-            col.values.push(crate::value::normalize(&cell));
+            col.push(&crate::value::normalize(&cell));
         }
     }
+    let columns = columns.into_iter().map(ColumnBuilder::finish).collect();
     Ok(Table::new(name, columns))
 }
 

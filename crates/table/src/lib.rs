@@ -4,7 +4,8 @@
 //!
 //! * [`Table`] — a named relation stored column-major, holding normalized
 //!   string cells (web tables and open-data tables are untyped text in the
-//!   corpora the paper evaluates on).
+//!   corpora the paper evaluates on). Each [`Column`] is dictionary-encoded:
+//!   its distinct texts once, plus one `u32` id per row.
 //! * [`Corpus`] — an id-addressed collection of tables (a "data lake").
 //! * [`ColumnStats`] — per-column statistics (cardinality, longest value)
 //!   used by the initial-column-selection heuristics of the discovery phase.
@@ -26,5 +27,5 @@ pub mod value;
 pub use corpus::Corpus;
 pub use ids::{ColId, RowId, TableId};
 pub use stats::ColumnStats;
-pub use table::{Column, Table, TableBuilder};
+pub use table::{Column, ColumnBuilder, Table, TableBuilder};
 pub use value::normalize;

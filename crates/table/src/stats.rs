@@ -29,13 +29,13 @@ impl ColumnStats {
         let mut distinct: HashSet<&str> = HashSet::with_capacity(column.len());
         let mut max_len = 0;
         let mut empty = 0;
-        for v in &column.values {
+        for v in column.iter() {
             if v.is_empty() {
                 empty += 1;
                 continue;
             }
             max_len = max_len.max(v.chars().count());
-            distinct.insert(v.as_str());
+            distinct.insert(v);
         }
         ColumnStats {
             col,
