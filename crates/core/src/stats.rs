@@ -193,9 +193,10 @@ impl DiscoveryStats {
 
 /// Mirrors the counter fields of a [`DiscoveryStats`] into `obs` as gauges
 /// under the `discovery_stats.` prefix, completing the unified metric
-/// catalog alongside `export_engine_stats` and `export_index_stats`
-/// (gauges, not counters: a stats struct is one run's snapshot — callers
-/// export the run they want visible, typically the latest).
+/// catalog alongside the engine's `engine.*` metrics and
+/// `export_index_stats` (gauges, not counters: a stats struct is one run's
+/// snapshot — callers export the run they want visible, typically the
+/// latest).
 pub fn export_discovery_stats(obs: &mate_obs::Obs, stats: &DiscoveryStats) {
     let pairs: [(&str, u64); 18] = [
         ("pl_lists_fetched", stats.pl_lists_fetched as u64),

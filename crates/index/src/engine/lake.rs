@@ -208,29 +208,11 @@ impl EngineLake {
         self.group_syncs.get()
     }
 
-    /// Counter snapshot of the wrapped engine, served from the published
-    /// snapshot: monitoring never contends with writers (or waits behind a
-    /// flush) just to copy counters.
+    /// The wrapped engine's counters with the structural state of the
+    /// published snapshot ([`EngineSnapshot::stats`]): monitoring never
+    /// contends with writers (or waits behind a flush).
     pub fn stats(&self) -> EngineStats {
-        let mut stats = self.published.lock().stats().clone();
-        // The published snapshot freezes most counters, but a handful
-        // mutate *between* publishes (fault injections tick outside the
-        // engine lock; scrub counters tick mid-pass while the pre-scrub
-        // snapshot is still published).
-        // Overlay those from ONE locked registry pass so the returned
-        // struct is internally coherent — no field can be newer than
-        // another field read in the same pass.
-        for (name, v) in self.obs.registry().counter_values() {
-            match name.as_str() {
-                "engine.scrub_runs" => stats.scrub_runs = v,
-                "engine.scrub_corruptions_found" => stats.scrub_corruptions_found = v,
-                "engine.segments_quarantined" => stats.segments_quarantined = v,
-                "engine.segments_rebuilt" => stats.segments_rebuilt = v,
-                "vfs.faults_injected" => stats.io_errors_injected = v,
-                _ => {}
-            }
-        }
-        stats
+        self.published.lock().stats()
     }
 
     /// The lake's observability hub: registry metrics, the event ring
@@ -242,13 +224,12 @@ impl EngineLake {
         &self.obs
     }
 
-    /// One coherent export of everything observable about this lake: a
-    /// coherent [`EngineLake::stats`] read mirrored into `engine_stats.*`
-    /// gauges, plus every registered metric and the event log. Render it
-    /// with [`mate_obs::ObsSnapshot::to_json`] or
+    /// One export of everything observable about this lake: every
+    /// registered metric (the `engine.*` counters, and the `engine.*`
+    /// gauges of the published snapshot among them) and the event log.
+    /// Render it with [`mate_obs::ObsSnapshot::to_json`] or
     /// [`mate_obs::ObsSnapshot::to_prometheus`].
     pub fn obs(&self) -> mate_obs::ObsSnapshot {
-        super::export_engine_stats(&self.obs, &self.stats());
         self.obs.snapshot()
     }
 
@@ -670,6 +651,130 @@ mod tests {
         assert!(fresh.snapshot().decoded_postings("late").is_some());
         assert!(fresh.snapshot().source_epoch() > reader.snapshot().source_epoch());
         std::fs::remove_dir_all(dir).ok();
+    }
+
+    /// Every counter field of an [`EngineStats`], by its registry name.
+    fn counters(s: &EngineStats) -> Vec<(&'static str, u64)> {
+        vec![
+            ("engine.flushes", s.flushes),
+            ("engine.compactions", s.compactions),
+            ("engine.wal_records", s.wal_records),
+            ("engine.wal_syncs", s.wal_syncs),
+            ("engine.replayed_records", s.replayed_records),
+            ("engine.checkpoints_written", s.checkpoints_written),
+            ("engine.checkpoints_skipped", s.checkpoints_skipped),
+            ("engine.deltas_written", s.deltas_written),
+            ("engine.checkpoint_delta_bytes", s.checkpoint_delta_bytes),
+            ("engine.checkpoint_full_bytes", s.checkpoint_full_bytes),
+            ("engine.values_hashed", s.values_hashed),
+            ("engine.scrub_runs", s.scrub_runs),
+            ("engine.scrub_corruptions_found", s.scrub_corruptions_found),
+            ("engine.segments_quarantined", s.segments_quarantined),
+            ("engine.segments_rebuilt", s.segments_rebuilt),
+            ("vfs.faults_injected", s.io_errors_injected),
+        ]
+    }
+
+    /// One counter store. After every step of create → ingest → flush →
+    /// tiered compaction → scrub → reopen, `Engine::stats`,
+    /// `EngineLake::stats` and the hub's counters agree field for field,
+    /// and two lakes sharing one hub read the sum of what their twins,
+    /// fed the same records on hubs of their own, read.
+    #[test]
+    fn counters_have_one_store_summed_per_hub() {
+        let base = tmpdir("one-store");
+        let shared = Arc::new(Obs::new());
+        let hubs = [
+            Arc::clone(&shared),
+            shared,
+            Arc::new(Obs::new()),
+            Arc::new(Obs::new()),
+        ];
+        let open = |i: usize, create: bool| {
+            let cfg = EngineConfig {
+                tier_fanout: 2,
+                obs: Arc::clone(&hubs[i]),
+                ..config(1 << 30)
+            };
+            let dir = base.join(format!("lake{i}"));
+            if create {
+                EngineLake::create(dir, cfg).unwrap()
+            } else {
+                EngineLake::open(dir, cfg).unwrap()
+            }
+        };
+        let check = |lakes: &[EngineLake], step: &str| {
+            for (i, lake) in lakes.iter().enumerate() {
+                let s = lake.stats();
+                assert_eq!(lake.engine.read().stats(), s, "{step}: lake {i}");
+                let hub = lake.obs().counters;
+                for (name, v) in counters(&s) {
+                    let got = hub.iter().find(|(n, _)| n == name).map(|&(_, v)| v);
+                    assert_eq!(got, Some(v), "{step}: lake {i} {name}");
+                }
+            }
+            let (a, b) = (counters(&lakes[2].stats()), counters(&lakes[3].stats()));
+            for ((name, v), (x, y)) in counters(&lakes[0].stats())
+                .into_iter()
+                .zip(a.iter().zip(&b))
+            {
+                assert_eq!(
+                    v,
+                    x.1 + y.1,
+                    "{step}: shared hub must read the sum of {name}"
+                );
+            }
+        };
+        // Lake i and its twin i + 2 get the same records; lakes 0 and 1
+        // get different ones.
+        let ingest = |lakes: &[EngineLake], tag: &str| {
+            for (i, lake) in lakes.iter().enumerate() {
+                let n = 2 + i % 2;
+                lake.apply_many((0..n).map(|t| WalRecord::InsertTable {
+                    table: people(3 + t, &format!("{tag}{t}")),
+                }))
+                .unwrap();
+            }
+        };
+
+        let mut lakes: Vec<EngineLake> = (0..4).map(|i| open(i, true)).collect();
+        check(&lakes, "create");
+        ingest(&lakes, "a");
+        check(&lakes, "ingest");
+        for round in ["b", "c"] {
+            for lake in &lakes {
+                assert!(lake.flush().unwrap());
+            }
+            check(&lakes, "flush");
+            ingest(&lakes, round);
+        }
+        for lake in &lakes {
+            assert!(lake.flush().unwrap());
+            assert!(lake.compact_tiered().unwrap() >= 2);
+        }
+        check(&lakes, "tiered compaction");
+        for i in 0..4 {
+            let seg = std::fs::read_dir(base.join(format!("lake{i}")))
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .find(|p| p.file_name().unwrap().to_string_lossy().starts_with("seg-"))
+                .unwrap();
+            let mut bytes = std::fs::read(&seg).unwrap();
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0x10;
+            std::fs::write(&seg, &bytes).unwrap();
+        }
+        for lake in &lakes {
+            assert_eq!(lake.scrub().unwrap().segments_rebuilt, 1);
+        }
+        check(&lakes, "scrub");
+        ingest(&lakes, "d");
+        drop(lakes);
+        lakes = (0..4).map(|i| open(i, false)).collect();
+        check(&lakes, "reopen");
+        assert!(lakes[2].stats().replayed_records > 0);
+        drop(lakes);
+        std::fs::remove_dir_all(base).ok();
     }
 
     #[test]

@@ -202,6 +202,7 @@ use merged::MemoSlot;
 pub use merged::{MergedSource, SourceCache};
 pub use snapshot::EngineSnapshot;
 
+use crate::builder::IndexBuilder;
 use crate::cold::ColdPostingStore;
 use crate::persist;
 use crate::posting::PostingEntry;
@@ -211,8 +212,8 @@ use crate::superkeys::SuperKeyStore;
 use crate::updates::IndexUpdater;
 use crate::wal::{self, frame_record, WalRecord};
 use bytes::Bytes;
-use mate_hash::{HashBits, HashSize, RowHasher, Xash};
-use mate_obs::Obs;
+use mate_hash::{HashBits, HashSize, Xash};
+use mate_obs::{Counter, Obs};
 use mate_storage::manifest::write_file_atomic_vfs;
 use mate_storage::pager::{PageCache, DEFAULT_PAGE_SIZE};
 use mate_storage::tombstone::{decode_claims, encode_claims, Claim};
@@ -220,7 +221,7 @@ use mate_storage::{
     postings, IoCtx as _, Reader, SegmentReader, SegmentWriter, StdVfs, StorageError, Vfs, VfsFile,
     Writer,
 };
-use mate_table::{Corpus, RowId, Table, TableId};
+use mate_table::{Corpus, Table, TableId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
@@ -358,12 +359,12 @@ pub struct EngineConfig {
     /// cache is built in [`Engine::create`]/[`Engine::open`] from
     /// [`EngineConfig::vfs`]).
     pub cold_cache_budget_bytes: usize,
-    /// The observability hub this engine records into: its volatile
-    /// counters (scrub, fault injections) live as registry metrics here,
-    /// and maintenance operations (flush, compact, scrub, recovery,
-    /// quarantine/rebuild, degrade) emit spans/events when the hub is
-    /// enabled. Each `EngineConfig::default()` makes a
-    /// fresh hub; share one `Arc` across engines to aggregate.
+    /// The observability hub this engine records into: every engine
+    /// counter lives here as an `engine.<name>` registry counter (see
+    /// [`EngineStats`]), and maintenance operations (flush, compact,
+    /// scrub, recovery, quarantine/rebuild, degrade) emit spans/events when
+    /// the hub is enabled. Each `EngineConfig::default()` makes a fresh
+    /// hub; share one `Arc` across engines to aggregate.
     pub obs: Arc<Obs>,
 }
 
@@ -541,7 +542,11 @@ impl ColdLayer {
     }
 }
 
-/// Counter snapshot of an engine.
+/// Typed read of an engine's metrics. The first seven fields describe the
+/// [`Engine`] or [`EngineSnapshot`] read; each snapshot build also sets
+/// them as `engine.<field>` gauges. Every other field is the
+/// `engine.<field>` counter of the engine's hub ([`EngineConfig::obs`]),
+/// so engines that share one hub read the hub's sum.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Live posting entries in the memtable.
@@ -558,93 +563,114 @@ pub struct EngineStats {
     pub live_postings: usize,
     /// Tables in the corpus (including deleted placeholders).
     pub tables: usize,
-    /// Flushes performed by this instance.
+    /// Flushes recorded in the engine's hub.
     pub flushes: u64,
-    /// Compactions performed by this instance.
+    /// Compactions recorded in the engine's hub.
     pub compactions: u64,
-    /// WAL records appended by this instance.
+    /// WAL records appended, recorded in the engine's hub.
     pub wal_records: u64,
-    /// WAL fsyncs issued by this instance ([`Engine::apply`] fsyncs every
-    /// record, so it tracks `wal_records` there; a deferred window closed
-    /// by one [`Engine::sync_wal`] counts once).
+    /// WAL fsyncs issued, recorded in the engine's hub ([`Engine::apply`]
+    /// fsyncs every record, so it tracks `wal_records` there; a deferred
+    /// window closed by one [`Engine::sync_wal`] counts once).
     pub wal_syncs: u64,
     /// WAL records replayed at open.
     pub replayed_records: u64,
-    /// Corpus checkpoints written by flushes of this instance.
+    /// Full corpus checkpoints recorded in the engine's hub.
     pub checkpoints_written: u64,
     /// Flushes that skipped the corpus checkpoint because the live corpus
     /// was unchanged since the previous checkpoint (postings-only flush).
     pub checkpoints_skipped: u64,
-    /// Incremental corpus delta records written by flushes of this
-    /// instance (dirty-table-proportional checkpoints; see module docs).
+    /// Incremental corpus delta records recorded in the engine's hub
+    /// (dirty-table-proportional checkpoints; see module docs).
     pub deltas_written: u64,
     /// Total payload bytes of corpus delta records written.
     pub checkpoint_delta_bytes: u64,
     /// Total payload bytes of full (monolithic) corpus checkpoints
     /// written, including delta folds at compaction.
     pub checkpoint_full_bytes: u64,
-    /// Scrub passes run by this instance (manual [`Engine::scrub`] calls
-    /// plus the [`EngineConfig::scrub_every_flushes`] hook).
+    /// Distinct memtable values hashed for super keys, counted when their
+    /// memtable is flushed (a value repeated in one memtable counts once).
+    pub values_hashed: u64,
+    /// Scrub passes recorded in the engine's hub (manual [`Engine::scrub`]
+    /// calls plus the [`EngineConfig::scrub_every_flushes`] hook).
     pub scrub_runs: u64,
     /// Corrupt files (segments, checkpoint/delta chain, manifest) scrub
-    /// passes found on this instance.
+    /// passes found, recorded in the engine's hub.
     pub scrub_corruptions_found: u64,
     /// Corrupt segments moved into `quarantine/` by scrub passes.
     pub segments_quarantined: u64,
     /// Segments rebuilt from the watermark corpus after quarantine.
     pub segments_rebuilt: u64,
-    /// Faults the [`EngineConfig::vfs`] injected so far (0 under
-    /// [`StdVfs`]; nonzero only with a test [`mate_storage::FaultVfs`]).
+    /// Faults a [`mate_storage::FaultVfs`] injected while attached to the
+    /// engine's hub (its `vfs.faults_injected` counter; 0 under [`StdVfs`]).
     pub io_errors_injected: u64,
 }
 
-/// Engine maintenance counters. Plain-`u64` fields only mutate under the
-/// engine's exclusive borrow (and every change republishes the snapshot);
-/// the scrub/quarantine family mutates during long self-healing passes
-/// that concurrent `stats()` readers can overlap, so those live as
-/// registry counters (`engine.scrub_runs`, ...) and are read atomically.
-#[derive(Debug)]
-struct Counters {
-    flushes: u64,
-    compactions: u64,
-    wal_records: u64,
-    wal_syncs: u64,
-    replayed_records: u64,
-    checkpoints_written: u64,
-    checkpoints_skipped: u64,
-    deltas_written: u64,
-    checkpoint_delta_bytes: u64,
-    checkpoint_full_bytes: u64,
-    scrub_runs: Arc<mate_obs::Counter>,
-    scrub_corruptions_found: Arc<mate_obs::Counter>,
-    segments_quarantined: Arc<mate_obs::Counter>,
-    segments_rebuilt: Arc<mate_obs::Counter>,
-    /// `mem.corpus_bytes`: [`Corpus::heap_bytes`] of the corpus the latest
-    /// snapshot pins, set whenever one is built.
-    corpus_bytes: Arc<mate_obs::Gauge>,
+/// Declares `Metrics`, the registry handles of the engine's counters (like
+/// the pager's): one `engine.<field>` counter per listed [`EngineStats`]
+/// field, plus `vfs.faults_injected`, which a [`mate_storage::FaultVfs`]
+/// bumps. The hub is the only store of every counter, and `Metrics::stats`
+/// is the only read of them. Shared by the engine and its snapshots.
+macro_rules! metrics {
+    ($($field:ident),* $(,)?) => {
+        #[derive(Debug)]
+        struct Metrics {
+            $($field: Arc<Counter>,)*
+            faults_injected: Arc<Counter>,
+        }
+
+        impl Metrics {
+            fn new(obs: &Obs) -> Self {
+                Metrics {
+                    $($field: obs.counter(concat!("engine.", stringify!($field))),)*
+                    faults_injected: obs.counter("vfs.faults_injected"),
+                }
+            }
+
+            /// The one constructor of [`EngineStats`]: the hub's counters
+            /// plus the structural state of the memtable `mem`, the cold
+            /// stack `cold`, the `live_postings` across both, and the
+            /// corpus's `tables`.
+            fn stats(
+                &self,
+                mem: &PostingStore,
+                cold: &[Arc<ColdLayer>],
+                live_postings: usize,
+                tables: usize,
+            ) -> EngineStats {
+                EngineStats {
+                    memtable_postings: mem.num_postings(),
+                    memtable_bytes: mem.flat_bytes(),
+                    cold_segments: cold.len(),
+                    cold_bytes: cold.iter().map(|l| l.bytes).sum(),
+                    cold_live_postings: live_postings - mem.num_postings(),
+                    live_postings,
+                    tables,
+                    $($field: self.$field.get(),)*
+                    io_errors_injected: self.faults_injected.get(),
+                }
+            }
+        }
+    };
 }
 
-impl Counters {
-    fn new(obs: &Obs) -> Self {
-        Counters {
-            flushes: 0,
-            compactions: 0,
-            wal_records: 0,
-            wal_syncs: 0,
-            replayed_records: 0,
-            checkpoints_written: 0,
-            checkpoints_skipped: 0,
-            deltas_written: 0,
-            checkpoint_delta_bytes: 0,
-            checkpoint_full_bytes: 0,
-            scrub_runs: obs.counter("engine.scrub_runs"),
-            scrub_corruptions_found: obs.counter("engine.scrub_corruptions_found"),
-            segments_quarantined: obs.counter("engine.segments_quarantined"),
-            segments_rebuilt: obs.counter("engine.segments_rebuilt"),
-            corpus_bytes: obs.gauge("mem.corpus_bytes"),
-        }
-    }
-}
+metrics!(
+    flushes,
+    compactions,
+    wal_records,
+    wal_syncs,
+    replayed_records,
+    checkpoints_written,
+    checkpoints_skipped,
+    deltas_written,
+    checkpoint_delta_bytes,
+    checkpoint_full_bytes,
+    values_hashed,
+    scrub_runs,
+    scrub_corruptions_found,
+    segments_quarantined,
+    segments_rebuilt,
+);
 
 /// Error type of every fallible engine operation. An alias of
 /// [`StorageError`] — the variants the failure model adds are
@@ -747,7 +773,10 @@ pub struct Engine {
     source_epoch: u64,
     corpus_gen: u64,
     next_segment_id: u64,
-    counters: Counters,
+    /// Flushes since the last automatic scrub: the schedule of
+    /// [`EngineConfig::scrub_every_flushes`].
+    flushes_since_scrub: u64,
+    metrics: Arc<Metrics>,
 }
 
 impl Engine {
@@ -825,6 +854,7 @@ impl Engine {
         let log = vfs.read(&wal_path).io_ctx("reading WAL", &wal_path)?;
         let (records, valid_len) = wal::parse_log(&log);
         let mut at = 0usize;
+        let replayed = records.len();
         for rec in records {
             // A CRC-valid frame whose record does not fit the corpus was
             // never written by this engine (appends check first): refuse
@@ -841,8 +871,8 @@ impl Engine {
                 .get(at..at + 4)
                 .map_or(0, |h| u32::from_le_bytes([h[0], h[1], h[2], h[3]]) as usize);
             engine.apply_in_memory(rec);
-            engine.counters.replayed_records += 1;
         }
+        engine.metrics.replayed_records.add(replayed as u64);
         if valid_len < log.len() {
             // Trim the torn tail *in place* (`set_len`, never a rewrite:
             // a crash mid-rewrite of a full copy could destroy the
@@ -859,7 +889,7 @@ impl Engine {
             "recovery",
             format!(
                 "replayed={} segments={} trimmed={}",
-                engine.counters.replayed_records,
+                replayed,
                 engine.cold.len(),
                 log.len() - valid_len
             ),
@@ -941,7 +971,7 @@ impl Engine {
             mem: Arc::new(PostingStore::new()),
             mem_hashes: Vec::new(),
             superkeys: Arc::new(superkeys),
-            counters: Counters::new(&config.obs),
+            metrics: Arc::new(Metrics::new(&config.obs)),
             source_cache: SourceCache::new(&config.obs),
             config,
             cold,
@@ -958,6 +988,7 @@ impl Engine {
             source_epoch: 0,
             corpus_gen: m.corpus_gen,
             next_segment_id: m.next_segment_id,
+            flushes_since_scrub: 0,
         };
         engine.resolve_owners();
         Ok(engine)
@@ -1050,7 +1081,7 @@ impl Engine {
         }
         self.wal_len = boundary + frame.len() as u64;
         self.wal_pending += 1;
-        self.counters.wal_records += 1;
+        self.metrics.wal_records.inc();
         self.apply_in_memory(record);
         Ok(WalTicket {
             wal_seq: self.wal_seq,
@@ -1069,11 +1100,9 @@ impl Engine {
         if self.wal_pending == 0 {
             return Ok(());
         }
-        // Counters live in snapshots too — keep cached stats honest.
-        self.invalidate_snapshot();
         match self.wal.sync_data() {
             Ok(()) => {
-                self.counters.wal_syncs += 1;
+                self.metrics.wal_syncs.inc();
                 self.wal_pending = 0;
                 Ok(())
             }
@@ -1120,7 +1149,8 @@ impl Engine {
         // The automatic scrub cadence: re-verify everything the manifest
         // references every K flushes (see module docs' failure model).
         let every = self.config.scrub_every_flushes;
-        if every > 0 && self.counters.flushes.is_multiple_of(every) {
+        if every > 0 && self.flushes_since_scrub >= every {
+            self.flushes_since_scrub = 0;
             self.scrub()?;
         }
         Ok(true)
@@ -1335,6 +1365,8 @@ impl Engine {
             // still pins the old store, `make_mut` would deep-copy it just
             // to throw it away.
             self.mem = Arc::new(PostingStore::new());
+            let hashed = self.mem_hashes.iter().filter(|h| h.is_some()).count();
+            self.metrics.values_hashed.add(hashed as u64);
             self.mem_hashes.clear();
             for owner in &mut self.owners {
                 if *owner == Owner::Mem {
@@ -1513,17 +1545,18 @@ impl Engine {
         self.commit(cold, Vec::new(), checkpoint, Some((wal_seq, wal)))?;
 
         match ckpt {
-            Ckpt::Skip => self.counters.checkpoints_skipped += 1,
+            Ckpt::Skip => self.metrics.checkpoints_skipped.inc(),
             Ckpt::Delta(bytes) => {
-                self.counters.deltas_written += 1;
-                self.counters.checkpoint_delta_bytes += bytes;
+                self.metrics.deltas_written.inc();
+                self.metrics.checkpoint_delta_bytes.add(bytes);
             }
             Ckpt::Full(bytes) => {
-                self.counters.checkpoints_written += 1;
-                self.counters.checkpoint_full_bytes += bytes;
+                self.metrics.checkpoints_written.inc();
+                self.metrics.checkpoint_full_bytes.add(bytes);
             }
         }
-        self.counters.flushes += 1;
+        self.metrics.flushes.inc();
+        self.flushes_since_scrub += 1;
         Ok(true)
     }
 
@@ -1702,10 +1735,10 @@ impl Engine {
         self.commit(cold, retired, checkpoint, None)?;
 
         if let Some((_, bytes)) = folded {
-            self.counters.checkpoints_written += 1;
-            self.counters.checkpoint_full_bytes += bytes;
+            self.metrics.checkpoints_written.inc();
+            self.metrics.checkpoint_full_bytes.add(bytes);
         }
-        self.counters.compactions += 1;
+        self.metrics.compactions.inc();
         Ok(())
     }
 
@@ -1758,7 +1791,7 @@ impl Engine {
                 reason: reason.clone(),
             });
         }
-        self.counters.scrub_runs.inc();
+        self.metrics.scrub_runs.inc();
         let obs = Arc::clone(&self.config.obs);
         let _span = obs.span("scrub");
         let mut report = ScrubReport::default();
@@ -1772,7 +1805,7 @@ impl Engine {
             Err(e) if e.is_io() => return Err(e),
             Err(_) => {
                 report.corruptions_found += 1;
-                self.counters.scrub_corruptions_found.inc();
+                self.metrics.scrub_corruptions_found.inc();
                 self.heal_checkpoint()?;
                 report.checkpoint_rewritten = true;
                 // The heal moved the watermark (fresh generation; possibly
@@ -1791,7 +1824,7 @@ impl Engine {
                 Err(_) => {}
             }
             report.corruptions_found += 1;
-            self.counters.scrub_corruptions_found.inc();
+            self.metrics.scrub_corruptions_found.inc();
             self.quarantine_and_rebuild(li, &watermark)?;
             report.segments_quarantined += 1;
             report.segments_rebuilt += 1;
@@ -1804,7 +1837,7 @@ impl Engine {
                 return Err(e);
             }
             report.corruptions_found += 1;
-            self.counters.scrub_corruptions_found.inc();
+            self.metrics.scrub_corruptions_found.inc();
             let checkpoint = (self.corpus_gen, self.corpus_delta_seq);
             self.commit(self.cold.clone(), Vec::new(), checkpoint, None)
                 .map_err(|e| self.degrade(format!("manifest rewrite failed: {e}")))?;
@@ -1895,8 +1928,8 @@ impl Engine {
             .map_err(|e| self.degrade(format!("checkpoint heal write failed: {e}")))?;
         self.commit(self.cold.clone(), Vec::new(), (gen, 0), None)
             .map_err(|e| self.degrade(format!("checkpoint heal manifest flip failed: {e}")))?;
-        self.counters.checkpoints_written += 1;
-        self.counters.checkpoint_full_bytes += bytes;
+        self.metrics.checkpoints_written.inc();
+        self.metrics.checkpoint_full_bytes.add(bytes);
         Ok(())
     }
 
@@ -1953,64 +1986,56 @@ impl Engine {
         // promotions, which must not leak into the file).
         let nt = watermark.len();
         let corrupt = Arc::clone(&self.cold[li]);
-        let newer = self.cold[li + 1..].to_vec();
-        let live = |t: u32| (t as usize) < nt && !newer.iter().any(|l| l.claims_table(t));
-        let mut claims: Vec<Claim> = Vec::new();
-        let mut merged: BTreeMap<&str, Vec<PostingEntry>> = BTreeMap::new();
-        for &(t, n) in &corrupt.claims {
-            if !live(t) {
-                continue; // masked by a newer cold layer: dead weight, drop
-            }
-            claims.push((t, n));
-            if n == 0 {
-                continue; // tombstone: masks older layers, carries no postings
-            }
-            let table = watermark.table(TableId(t));
-            let mut count = 0u64;
-            for (ci, col) in table.columns().iter().enumerate() {
-                for (ri, v) in col.iter().enumerate() {
-                    if !v.is_empty() {
-                        merged.entry(v).or_default().push(PostingEntry::new(
-                            TableId(t),
-                            ci as u32,
-                            ri as u32,
-                        ));
-                        count += 1;
-                    }
-                }
-            }
-            if count != n {
-                return Err(self.degrade(format!(
-                    "segment {old_id} rebuild: corpus projection of table {t} has {count} \
-                     postings but the claim recorded {n}; promote invariant broken"
-                )));
-            }
+        let newer = &self.cold[li + 1..];
+        let claims: Vec<Claim> = corrupt
+            .claims
+            .iter()
+            .copied()
+            .filter(|&(t, _)| (t as usize) < nt && !newer.iter().any(|l| l.claims_table(t)))
+            .collect();
+        // Postings and super keys come from one single-shot build of the
+        // watermark corpus. Only the newest stack segment's super keys are
+        // ever read back (recovery), and for it they are exactly the
+        // watermark-time store; for older segments the block is dead bytes
+        // carried for uniformity. The postings kept are those of the live
+        // claimed tables (tombstones carry none).
+        let index = IndexBuilder::new(self.hasher).build(watermark);
+        let mut keep = vec![false; nt];
+        for &(t, n) in &claims {
+            keep[t as usize] = n > 0;
         }
-        for pl in merged.values_mut() {
-            pl.sort_unstable();
-        }
-
-        // Super keys re-derived from the watermark corpus. Only the
-        // newest stack segment's block is ever read back (recovery), and
-        // for it this derivation is exactly the watermark-time store; for
-        // older segments the block is dead bytes carried for uniformity.
-        let mut sk = SuperKeyStore::new(self.hash_size());
-        for (_, table) in watermark.iter() {
-            let tid = sk.push_table(table.num_rows());
-            for col in table.columns() {
-                for (ri, v) in col.iter().enumerate() {
-                    if !v.is_empty() {
-                        let h = self.hasher.hash_value(v);
-                        sk.or_into(tid, RowId::from(ri), h.words());
-                    }
+        let mut counts = vec![0u64; nt];
+        let kept: Vec<(&str, Vec<PostingEntry>)> = index
+            .iter_values()
+            .filter_map(|(v, pl)| {
+                let pl: Vec<PostingEntry> = pl
+                    .iter()
+                    .copied()
+                    .filter(|e| keep[e.table.index()])
+                    .collect();
+                for e in &pl {
+                    counts[e.table.index()] += 1;
                 }
-            }
+                (!pl.is_empty()).then_some((v, pl))
+            })
+            .collect();
+        if let Some(&(t, n)) = claims.iter().find(|&&(t, n)| counts[t as usize] != n) {
+            return Err(self.degrade(format!(
+                "segment {old_id} rebuild: corpus projection of table {t} has {} \
+                 postings but the claim recorded {n}; promote invariant broken",
+                counts[t as usize]
+            )));
         }
 
         let mut values: Vec<(&str, &[PostingEntry])> =
-            merged.iter().map(|(v, pl)| (*v, pl.as_slice())).collect();
+            kept.iter().map(|(v, pl)| (*v, pl.as_slice())).collect();
         let layer = self
-            .write_segment(&mut values, nt, persist::superkeys_block(&sk), &claims)
+            .write_segment(
+                &mut values,
+                nt,
+                persist::superkeys_block(index.superkeys()),
+                &claims,
+            )
             .map_err(|e| self.degrade(format!("segment {old_id} rebuild failed: {e}")))?;
         let seg_id = layer.id;
         // The rebuilt segment takes the corrupt one's stack position
@@ -2025,8 +2050,8 @@ impl Engine {
                     "segment {old_id} rebuild manifest flip failed: {e}"
                 ))
             })?;
-        self.counters.segments_quarantined.inc();
-        self.counters.segments_rebuilt.inc();
+        self.metrics.segments_quarantined.inc();
+        self.metrics.segments_rebuilt.inc();
         self.config
             .obs
             .event("rebuild", format!("seg={old_id} rebuilt_as={seg_id}"));
@@ -2058,12 +2083,13 @@ impl Engine {
     }
 
     /// An immutable point-in-time view of the read-relevant engine state
-    /// (corpus, memtable postings, super keys, cold stack, source epoch,
-    /// counters), shareable across threads without holding any lock on the
-    /// engine. Building one is O(layers + tables) — the payloads are
-    /// pinned by reference, not copied; later writes copy-on-write only
-    /// what they touch, so the snapshot stays bit-identical to the state
-    /// it was taken from for as long as it is held.
+    /// (corpus, memtable postings, super keys, cold stack, source epoch),
+    /// shareable across threads without holding any lock on the engine.
+    /// Building one is O(layers + tables) — the payloads are pinned by
+    /// reference, not copied; later writes copy-on-write only what they
+    /// touch, so the snapshot stays bit-identical to the state it was
+    /// taken from for as long as it is held. Building one also sets the
+    /// hub's structural `engine.*` gauges and `mem.corpus_bytes` from it.
     ///
     /// The snapshot is cached until the next mutation, so back-to-back
     /// calls between writes return the same `Arc` — and share its memo.
@@ -2079,10 +2105,7 @@ impl Engine {
                     .iter()
                     .map(|l| PostingSource::num_values(&l.store))
                     .sum::<usize>();
-            self.counters
-                .corpus_bytes
-                .set(self.corpus.heap_bytes() as u64);
-            Arc::new(EngineSnapshot {
+            let snapshot = EngineSnapshot {
                 corpus: Arc::clone(&self.corpus),
                 mem: Arc::clone(&self.mem),
                 superkeys: Arc::clone(&self.superkeys),
@@ -2093,10 +2116,24 @@ impl Engine {
                 epoch: self.source_epoch,
                 num_values_hint: values_hint,
                 num_postings: self.live_postings(),
-                stats: self.stats(),
+                metrics: Arc::clone(&self.metrics),
                 source_cache: self.source_cache.clone(),
                 memo: MemoSlot::new(),
-            })
+            };
+            let s = snapshot.stats();
+            for (name, v) in [
+                ("engine.memtable_postings", s.memtable_postings),
+                ("engine.memtable_bytes", s.memtable_bytes),
+                ("engine.cold_segments", s.cold_segments),
+                ("engine.cold_bytes", s.cold_bytes),
+                ("engine.cold_live_postings", s.cold_live_postings),
+                ("engine.live_postings", s.live_postings),
+                ("engine.tables", s.tables),
+                ("mem.corpus_bytes", self.corpus.heap_bytes()),
+            ] {
+                self.config.obs.gauge(name).set(v as u64);
+            }
+            Arc::new(snapshot)
         })
     }
 
@@ -2179,32 +2216,15 @@ impl Engine {
         self.mem.num_postings() + self.cold_live.iter().sum::<usize>()
     }
 
-    /// Counter snapshot.
+    /// The engine's counters and current structural state (see
+    /// [`EngineStats`]).
     pub fn stats(&self) -> EngineStats {
-        EngineStats {
-            memtable_postings: self.mem.num_postings(),
-            memtable_bytes: self.mem.flat_bytes(),
-            cold_segments: self.cold.len(),
-            cold_bytes: self.cold.iter().map(|l| l.bytes).sum(),
-            cold_live_postings: self.cold_live.iter().sum(),
-            live_postings: self.live_postings(),
-            tables: self.corpus.len(),
-            flushes: self.counters.flushes,
-            compactions: self.counters.compactions,
-            wal_records: self.counters.wal_records,
-            wal_syncs: self.counters.wal_syncs,
-            replayed_records: self.counters.replayed_records,
-            checkpoints_written: self.counters.checkpoints_written,
-            checkpoints_skipped: self.counters.checkpoints_skipped,
-            deltas_written: self.counters.deltas_written,
-            checkpoint_delta_bytes: self.counters.checkpoint_delta_bytes,
-            checkpoint_full_bytes: self.counters.checkpoint_full_bytes,
-            scrub_runs: self.counters.scrub_runs.get(),
-            scrub_corruptions_found: self.counters.scrub_corruptions_found.get(),
-            segments_quarantined: self.counters.segments_quarantined.get(),
-            segments_rebuilt: self.counters.segments_rebuilt.get(),
-            io_errors_injected: self.vfs.injected_faults(),
-        }
+        self.metrics.stats(
+            &self.mem,
+            &self.cold,
+            self.live_postings(),
+            self.corpus.len(),
+        )
     }
 
     /// The observability hub this engine records into (shared with
@@ -2224,40 +2244,6 @@ impl Engine {
     /// the serving path never materializes whole lists).
     pub fn decoded_postings(&self, value: &str) -> Option<Vec<PostingEntry>> {
         self.current_snapshot().decoded_postings(value)
-    }
-}
-
-/// Mirrors every field of an [`EngineStats`] into `obs` as gauges under
-/// the `engine_stats.` prefix, making the pull-only struct enumerable
-/// through the unified metric catalog (one registry pass sees engine
-/// counters, vfs fault counts, and these stat gauges side by side).
-pub fn export_engine_stats(obs: &Obs, stats: &EngineStats) {
-    let pairs: [(&str, u64); 22] = [
-        ("memtable_postings", stats.memtable_postings as u64),
-        ("memtable_bytes", stats.memtable_bytes as u64),
-        ("cold_segments", stats.cold_segments as u64),
-        ("cold_bytes", stats.cold_bytes as u64),
-        ("cold_live_postings", stats.cold_live_postings as u64),
-        ("live_postings", stats.live_postings as u64),
-        ("tables", stats.tables as u64),
-        ("flushes", stats.flushes),
-        ("compactions", stats.compactions),
-        ("wal_records", stats.wal_records),
-        ("wal_syncs", stats.wal_syncs),
-        ("replayed_records", stats.replayed_records),
-        ("checkpoints_written", stats.checkpoints_written),
-        ("checkpoints_skipped", stats.checkpoints_skipped),
-        ("deltas_written", stats.deltas_written),
-        ("checkpoint_delta_bytes", stats.checkpoint_delta_bytes),
-        ("checkpoint_full_bytes", stats.checkpoint_full_bytes),
-        ("scrub_runs", stats.scrub_runs),
-        ("scrub_corruptions_found", stats.scrub_corruptions_found),
-        ("segments_quarantined", stats.segments_quarantined),
-        ("segments_rebuilt", stats.segments_rebuilt),
-        ("io_errors_injected", stats.io_errors_injected),
-    ];
-    for (name, v) in pairs {
-        obs.gauge(&format!("engine_stats.{name}")).set(v);
     }
 }
 
@@ -2775,6 +2761,26 @@ mod tests {
         assert_matches_rebuild(&e);
         drop(e);
         let e = Engine::open(&dir, cfg).unwrap();
+        assert_matches_rebuild(&e);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    /// `engine.values_hashed` counts the distinct values a memtable hashed:
+    /// re-inserting a table whose values are already in the memtable
+    /// hashes none of them again.
+    #[test]
+    fn values_hashed_counts_each_memtable_value_once() {
+        let dir = tmpdir("values-hashed");
+        let mut e = Engine::create(&dir, small_config(1 << 30)).unwrap();
+        e.insert_table(people(4, "a")).unwrap();
+        e.flush().unwrap();
+        // Four distinct first names and three `shared-*` last names.
+        assert_eq!(e.stats().values_hashed, 7);
+        e.insert_table(people(4, "a")).unwrap();
+        e.insert_table(people(4, "a")).unwrap();
+        e.flush().unwrap();
+        assert_eq!(e.stats().values_hashed, 14, "the re-insert hashed again");
+        assert_eq!(e.obs().counter("engine.values_hashed").get(), 14);
         assert_matches_rebuild(&e);
         std::fs::remove_dir_all(dir).ok();
     }

@@ -7,8 +7,7 @@
 //!   values from here),
 //! * the **memtable** posting store and the global **super-key** store,
 //! * the **cold segment stack** (each layer an `Arc`d zero-copy store),
-//! * the owner map, the **source epoch**, and an [`EngineStats`] counter
-//!   snapshot.
+//! * the owner map and the **source epoch**.
 //!
 //! Nothing of that state is behind a lock and none of it ever mutates:
 //! writers replace the engine's `Arc`s (copy-on-write) instead of editing
@@ -25,7 +24,7 @@
 //! concurrent handle, [`EngineLake::reader`](super::EngineLake::reader).
 
 use super::merged::MemoSlot;
-use super::{ColdLayer, EngineStats, MergedSource, SourceCache};
+use super::{ColdLayer, EngineStats, MergedSource, Metrics, SourceCache};
 use crate::posting::PostingEntry;
 use crate::source::{PostingSource, ProbeCounters, ProbeScratch};
 use crate::store::PostingStore;
@@ -55,7 +54,8 @@ pub struct EngineSnapshot {
     pub(super) epoch: u64,
     pub(super) num_values_hint: usize,
     pub(super) num_postings: usize,
-    pub(super) stats: EngineStats,
+    /// The engine's registry handles, read by [`EngineSnapshot::stats`].
+    pub(super) metrics: Arc<Metrics>,
     /// The engine's memo hit/miss counters.
     pub(super) source_cache: SourceCache,
     /// The memo every source built from this snapshot shares.
@@ -117,14 +117,15 @@ impl EngineSnapshot {
         self.epoch
     }
 
-    /// Engine counter values at snapshot time.
-    pub fn stats(&self) -> &EngineStats {
-        &self.stats
+    /// The engine's counters as of now, with the structural fields of the
+    /// state this snapshot pins (see [`EngineStats`]).
+    pub fn stats(&self) -> EngineStats {
+        self.metrics
+            .stats(&self.mem, &self.cold, self.num_postings, self.corpus.len())
     }
 
     /// Live counters of the shared page cache the snapshot's cold layers
-    /// read through. Unlike [`EngineSnapshot::stats`] this is *not* a
-    /// point-in-time copy — the cache is shared with the engine and other
+    /// read through. The cache is shared with the engine and other
     /// snapshots, so hits/misses keep moving; readers diff two calls to
     /// attribute paging activity to a query.
     pub fn pager_stats(&self) -> mate_storage::pager::PagerStats {

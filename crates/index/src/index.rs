@@ -173,7 +173,7 @@ pub struct IndexStats {
 
 /// Mirrors every field of an [`IndexStats`] into `obs` as gauges under
 /// the `index_stats.` prefix, so the pull-only struct joins the unified
-/// metric catalog (same convention as `export_engine_stats`).
+/// metric catalog (as `export_discovery_stats` does for discovery runs).
 pub fn export_index_stats(obs: &mate_obs::Obs, stats: &IndexStats) {
     let pairs: [(&str, usize); 11] = [
         ("num_values", stats.num_values),

@@ -49,8 +49,8 @@ pub mod wal;
 pub use builder::IndexBuilder;
 pub use cold::{ColdPostingStore, ListDirectory};
 pub use engine::{
-    export_engine_stats, Engine, EngineConfig, EngineError, EngineLake, EngineSnapshot,
-    EngineStats, LakeReader, MergedSource, ScrubReport, SourceCache, WalTicket,
+    Engine, EngineConfig, EngineError, EngineLake, EngineSnapshot, EngineStats, LakeReader,
+    MergedSource, ScrubReport, SourceCache, WalTicket,
 };
 pub use index::{export_index_stats, IndexStats, InvertedIndex};
 pub use posting::PostingEntry;

@@ -153,7 +153,7 @@ mod tests {
     fn sample_obs() -> Obs {
         let obs = Obs::new();
         obs.counter("engine.flushes").add(3);
-        obs.gauge("engine_stats.tables").set(12);
+        obs.gauge("engine.tables").set(12);
         let h = obs.histogram("span_us.flush");
         for v in [100, 200, 300] {
             h.record(v);
@@ -173,7 +173,7 @@ mod tests {
         );
         let gauges = v.get("gauges").and_then(|g| g.as_obj()).unwrap();
         assert_eq!(
-            gauges.get("engine_stats.tables").and_then(|x| x.as_f64()),
+            gauges.get("engine.tables").and_then(|x| x.as_f64()),
             Some(12.0)
         );
         let hists = v.get("histograms").and_then(|h| h.as_obj()).unwrap();

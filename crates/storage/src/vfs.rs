@@ -80,15 +80,11 @@ pub trait Vfs: Send + Sync + fmt::Debug {
     fn sync_dir(&self, path: &Path) -> io::Result<()>;
     /// Lists the file names (not full paths) inside a directory.
     fn read_dir(&self, path: &Path) -> io::Result<Vec<PathBuf>>;
-    /// Number of faults this vfs has injected (0 for production impls);
-    /// surfaced as the engine's `io_errors_injected` stat.
-    fn injected_faults(&self) -> u64 {
-        0
-    }
     /// Connects this vfs to an observability hub: fault-injecting impls
-    /// mirror their injection count into the `vfs.faults_injected`
-    /// registry counter and emit a `fault_injected` event (with op class
-    /// and path) every time a fault fires. Production impls ignore this.
+    /// count every fault they inject from now on in the hub's
+    /// `vfs.faults_injected` counter (the engine's `io_errors_injected`
+    /// stat) and emit a `fault_injected` event (with op class and path)
+    /// for it. Production impls ignore this.
     fn attach_obs(&self, _obs: &Arc<mate_obs::Obs>) {}
 }
 
@@ -371,7 +367,7 @@ impl FaultVfs {
         };
         self.injected.fetch_add(1, Ordering::Relaxed);
         if let Some(obs) = &*self.obs.lock().unwrap_or_else(|e| e.into_inner()) {
-            obs.counter("vfs.faults_injected").set(self.injected());
+            obs.counter("vfs.faults_injected").inc();
             obs.event(
                 "fault_injected",
                 format!("{:?} {} ({:?})", op, path.display(), mode),
@@ -537,13 +533,10 @@ impl Vfs for Arc<FaultVfs> {
             _ => self.inner.read_dir(path),
         }
     }
-    fn injected_faults(&self) -> u64 {
-        self.injected()
-    }
     fn attach_obs(&self, obs: &Arc<mate_obs::Obs>) {
-        // Materialize the mirror counter immediately so the metric is
-        // enumerable even before any fault fires.
-        obs.counter("vfs.faults_injected").set(self.injected());
+        // Register the counter now so the metric is enumerable even
+        // before any fault fires.
+        obs.counter("vfs.faults_injected");
         *self.obs.lock().unwrap_or_else(|e| e.into_inner()) = Some(Arc::clone(obs));
     }
 }

@@ -88,7 +88,7 @@ fn main() {
         );
     }
     // The lifecycle left its fingerprints: spans for every phase that ran,
-    // the engine-stats catalog, and a non-empty event log.
+    // the engine's counters, and a non-empty event log.
     for span in [
         "span_us.flush",
         "span_us.compact",
@@ -98,8 +98,8 @@ fn main() {
         assert!(hists.contains_key(span), "missing {span} histogram");
     }
     assert!(
-        gauges.contains_key("engine_stats.flushes"),
-        "engine catalog missing"
+        counters.contains_key("engine.flushes"),
+        "engine counters missing"
     );
     assert!(
         gauges.contains_key("discovery_stats.candidate_tables"),
